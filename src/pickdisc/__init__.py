@@ -1,141 +1,23 @@
-"""Reproducing-kernel coefficient tools, Pick feasibility, and disc orbit encodings."""
+"""Reproducing-kernel coefficient tools, Pick feasibility, and disc orbit encodings.
 
-from .seqkernel import (
-    AdmissibilityReport,
-    CoefficientSequence,
-    GrowthReport,
-    KernelValue,
-    RatioSequence,
-    ScalingStepError,
-    UncertifiedEvaluationError,
-    a_from_b,
-    b_from_a,
-    check_admissible_log_convex,
-    cumulative_product_deviation,
-    cumulative_product_distance,
-    drury_arveson_inner,
-    kernel_eval,
-    log_convex_from_ratios,
-    partial_sum_discrepancy,
-    same_growth_report,
-    turbulence_step,
-)
-from .pick import (
-    HermitianMatrix,
-    PickProblem,
-    PsdReport,
-    build_pick_matrix,
-    gram_and_irreducibility,
-    min_eigenvalue,
-    pick_feasible,
-)
-from .hypgeo import (
-    DegenerateConfigurationError,
-    DiscAutomorphism,
-    DiscPreservationError,
-    Mat2,
-    RigidityMatchError,
-    as_ball_point,
-    moebius_from_matrix,
-    moebius_through_three_points,
-    phi_a,
-    rho,
-    triple_rigidity_match,
-)
-from .fuchsian import (
-    GAMMA3,
-    LAMBDA2,
-    PRESETS,
-    BlaschkeDiagnostics,
-    GroupPreset,
-    OrbitLevel,
-    OrbitTable,
-    Word,
-    blaschke_diagnostics,
-    calibrate_blaschke_thresholds,
-    enumerate_words,
-    load_blaschke_thresholds,
-    orbit_points,
-    separation_estimate,
-    word_to_matrix,
-)
-from .encode import (
-    Configuration,
-    EncodingError,
-    EncodingParams,
-    EquivalenceVerdict,
-    build_configuration,
-    geometric_equivalence,
-    make_params,
-    word_search_equivalence,
-)
+The public names are those of the five layers, re-exported here; each
+layer's ``__all__`` is the one list of its names.
+"""
+
+from . import encode, fuchsian, hypgeo, pick, seqkernel
+from .seqkernel import *  # noqa: F401,F403
+from .pick import *  # noqa: F401,F403
+from .hypgeo import *  # noqa: F401,F403
+from .fuchsian import *  # noqa: F401,F403
+from .encode import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # seqkernel
-    "AdmissibilityReport",
-    "CoefficientSequence",
-    "GrowthReport",
-    "KernelValue",
-    "RatioSequence",
-    "ScalingStepError",
-    "UncertifiedEvaluationError",
-    "a_from_b",
-    "b_from_a",
-    "check_admissible_log_convex",
-    "cumulative_product_deviation",
-    "cumulative_product_distance",
-    "drury_arveson_inner",
-    "kernel_eval",
-    "log_convex_from_ratios",
-    "partial_sum_discrepancy",
-    "same_growth_report",
-    "turbulence_step",
-    # pick
-    "HermitianMatrix",
-    "PickProblem",
-    "PsdReport",
-    "build_pick_matrix",
-    "gram_and_irreducibility",
-    "min_eigenvalue",
-    "pick_feasible",
-    # hypgeo
-    "DegenerateConfigurationError",
-    "DiscAutomorphism",
-    "DiscPreservationError",
-    "Mat2",
-    "RigidityMatchError",
-    "as_ball_point",
-    "moebius_from_matrix",
-    "moebius_through_three_points",
-    "phi_a",
-    "rho",
-    "triple_rigidity_match",
-    # fuchsian
-    "GAMMA3",
-    "LAMBDA2",
-    "PRESETS",
-    "BlaschkeDiagnostics",
-    "GroupPreset",
-    "OrbitLevel",
-    "OrbitTable",
-    "Word",
-    "blaschke_diagnostics",
-    "calibrate_blaschke_thresholds",
-    "enumerate_words",
-    "load_blaschke_thresholds",
-    "orbit_points",
-    "separation_estimate",
-    "word_to_matrix",
-    # encode
-    "Configuration",
-    "EncodingError",
-    "EncodingParams",
-    "EquivalenceVerdict",
-    "build_configuration",
-    "geometric_equivalence",
-    "make_params",
-    "word_search_equivalence",
+    *seqkernel.__all__,
+    *pick.__all__,
+    *hypgeo.__all__,
+    *fuchsian.__all__,
+    *encode.__all__,
 ]

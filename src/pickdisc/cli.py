@@ -98,15 +98,6 @@ def _parse_terms(text: str, exact: bool) -> list:
         raise UsageError(f"cannot parse coefficient list {text!r}: {exc}") from None
 
 
-def _parse_floats(text: str) -> list:
-    try:
-        return [
-            float(Fraction(tok)) if "/" in tok else float(tok) for tok in _split(text, ",")
-        ]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse number list {text!r}: {exc}") from None
-
-
 def _parse_ints(text: str) -> list:
     try:
         return [int(tok) for tok in _split(text, ",")]
@@ -207,8 +198,8 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    a = CoefficientSequence(tuple(_parse_floats(args.a)), exact=False)
-    a_prime = CoefficientSequence(tuple(_parse_floats(args.a_prime)), exact=False)
+    a = CoefficientSequence(tuple(_parse_terms(args.a, exact=False)), exact=False)
+    a_prime = CoefficientSequence(tuple(_parse_terms(args.a_prime, exact=False)), exact=False)
     report = same_growth_report(a, a_prime, n_terms=args.n)
     payload = report.as_dict()
     payload["ratio_spread"] = float(report.max_ratio) / float(report.min_ratio)
@@ -387,8 +378,8 @@ def _cmd_encode_test(args) -> int:
 
 
 def _cmd_turbulence_step(args) -> int:
-    s = RatioSequence(tuple(_parse_floats(args.s)))
-    t = RatioSequence(tuple(_parse_floats(args.t)))
+    s = RatioSequence(tuple(_parse_terms(args.s, exact=False)))
+    t = RatioSequence(tuple(_parse_terms(args.t, exact=False)))
     try:
         g, n_exp = turbulence_step(s, t, args.n1, args.eps, n_max=args.n_max)
     except ScalingStepError as exc:

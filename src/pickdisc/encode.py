@@ -20,6 +20,15 @@ directions and is realized by a word of the allowed length.  Verdicts
 are therefore statements about the supplied windows, recorded in the
 verdict metadata.
 
+The word window comes from the package's one breadth-first expansion
+(`fuchsian`), which gives every word's matrix and letters at once.  All
+distance lookups go through one index: the points sorted by real part,
+queried in batches for the points within a Euclidean radius of given
+centres.  Pseudo-hyperbolic balls are Euclidean discs, so the cluster
+queries (isolation, clusters, core reconstruction) use the same index
+and decide each candidate with the exact rho expression; each anchor is
+checked against its near neighbours only.
+
 Parameters are frozen per run: ``eps`` is half the calibrated orbit
 separation at the base point, satellites sit at radii eps/30, eps/18,
 eps/12 with angles spread so that all six pairwise distances of the
@@ -36,9 +45,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fuchsian import GAMMA3, GroupPreset, Word, enumerate_words, word_to_matrix
-from .fuchsian import _eval_points  # intra-package reuse of the stable evaluator
+from .fuchsian import GAMMA3, GroupPreset, Word, enumerate_words
+from .fuchsian import _eval_points, _row_words, _spheres  # the package's one word BFS
 from .hypgeo import (
+    _DISTINCT_GAP,
+    _pseudo_hyperbolic,
     DegenerateConfigurationError,
     DiscAutomorphism,
     DiscPreservationError,
@@ -62,8 +73,12 @@ __all__ = [
     "geometric_equivalence",
 ]
 
-_DISTINCT_GAP = 1e-12
 _REALIZATION_SAMPLES = (0j, 0.37 - 0.21j, -0.12 + 0.44j)
+# Index searches widen their slabs by a few ulps of a disc coordinate, and
+# the disc of a rho-ball by a relative margin far above rho's rounding
+# error; the exact distance test then decides.
+_SLAB_PAD = 1e-15
+_RHO_PAD = 1e-3
 
 
 class EncodingError(ValueError):
@@ -228,17 +243,18 @@ class EquivalenceVerdict:
 @lru_cache(maxsize=16)
 def _reference(params: EncodingParams):
     """Canonical words of the window with matrices and family values."""
-    words = tuple(enumerate_words(params.window))
-    mats = np.array(
-        [word_to_matrix(w, params.preset).entries() for w in words], dtype=np.int64
-    ).reshape(-1, 2, 2)
+    words, mats = [], []
+    for _, sphere, rows in _spheres(params.preset, params.window, params.window):
+        words.extend(_row_words(rows))
+        mats.append(sphere)
+    mats = np.concatenate(mats)
     families = []
     for x in params.quadruple():
         vals, _ = _eval_points(mats, complex(x))
         vals.setflags(write=False)
         families.append(vals)
     index = {w: i for i, w in enumerate(words)}
-    return words, mats, tuple(families), index
+    return tuple(words), mats, tuple(families), index
 
 
 def _check_subset(subset: Iterable[Word], window: int) -> frozenset:
@@ -263,90 +279,97 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     """
     subset_set = _check_subset(subset, params.window)
     words, _mats, families, index = _reference(params)
-    n_words = len(words)
-    member = np.zeros(n_words, dtype=bool)
+    present = np.ones((len(words), 4), dtype=bool)  # word i carries family j
+    present[:, 3] = False
     for w in subset_set:
-        member[index[w]] = True
+        present[index[w], 3] = True
+    owner, family = np.nonzero(present)  # word-major, families in order
+    pts = np.stack(families, axis=1)[present]
+    texts = [w.to_string() for w in words]
+    labels = tuple((texts[i], fam) for i, fam in zip(owner.tolist(), family.tolist()))
 
-    points = []
-    labels = []
-    owner = []  # word index owning each point, for the isolation check
-    for i, w in enumerate(words):
-        text = w.to_string()
-        top = 4 if member[i] else 3
-        for fam in range(top):
-            points.append(complex(families[fam][i]))
-            labels.append((text, fam))
-            owner.append(i)
-    pts = np.array(points, dtype=complex)
-    owner = np.array(owner, dtype=np.int64)
-
-    _check_isolation(pts, owner, families[0], params.eps)
-    _check_distinct(pts)
-    return Configuration(points=pts, labels=tuple(labels), params=params)
+    lookup = _SortedIndex(pts)
+    _check_isolation(lookup, owner, families[0], params.eps)
+    _check_distinct(lookup)
+    return Configuration(points=pts, labels=labels, params=params)
 
 
-def _check_isolation(pts: np.ndarray, owner: np.ndarray, anchors: np.ndarray, eps: float) -> None:
-    half = eps / 2.0
-    n_words = anchors.shape[0]
-    chunk = 256
-    for start in range(0, n_words, chunk):
-        stop = min(start + chunk, n_words)
-        block = anchors[start:stop]
-        dist = np.abs(block[:, None] - pts[None, :]) / np.abs(
-            1.0 - np.conj(block[:, None]) * pts[None, :]
-        )
-        near = dist < half
-        for k in range(stop - start):
-            word_idx = start + k
-            hit_owners = owner[near[k]]
-            if hit_owners.size == 0 or not np.all(hit_owners == word_idx):
-                raise EncodingError(
-                    "cluster isolation failed near word index "
-                    f"{word_idx}: eps is too large for this window"
-                )
+class _SortedIndex:
+    """A fixed point set sorted by real part, answering batch disc queries.
 
-
-def _check_distinct(pts: np.ndarray) -> None:
-    order = np.lexsort((pts.imag, pts.real))
-    s = pts[order]
-    n = s.shape[0]
-    for i in range(n - 1):
-        j = i + 1
-        while j < n and s[j].real - s[i].real <= _DISTINCT_GAP:
-            if abs(s[j] - s[i]) <= _DISTINCT_GAP:
-                raise EncodingError("two configuration points coincide")
-            j += 1
-
-
-class _PointIndex:
-    """Tolerance lookups into a fixed point set, sorted by real part."""
+    `near` finds, for a batch of centres, every point within a Euclidean
+    radius of each; the sort confines each search to the slab of points
+    whose real part is within that radius.  A pseudo-hyperbolic ball is
+    a Euclidean disc, so `within_rho` queries the slightly padded disc
+    and keeps the pairs that pass the exact rho expression.
+    """
 
     def __init__(self, points: np.ndarray):
-        order = np.argsort(points.real, kind="stable")
-        self.pts = points[order]
-        self.re = self.pts.real
+        self.points = points
+        self.order = np.argsort(points.real, kind="stable")
+        self.re = points.real[self.order]
 
-    def contains(self, value: complex, tol: float) -> bool:
-        lo = np.searchsorted(self.re, value.real - tol, side="left")
-        hi = np.searchsorted(self.re, value.real + tol, side="right")
-        if lo >= hi:
-            return False
-        return bool(np.min(np.abs(self.pts[lo:hi] - value)) <= tol)
+    def near(self, centres: np.ndarray, radius) -> tuple:
+        """Pairs (centre index, point index) with ``|point - centre| <= radius``.
 
-    def contains_all(self, values: np.ndarray, tol: float) -> bool:
-        return all(self.contains(complex(v), tol) for v in values)
+        ``radius`` is a scalar or one value per centre; pairs come out
+        centre by centre, each centre's points in order of real part.
+        """
+        radius = np.broadcast_to(radius, centres.shape)
+        lo = np.searchsorted(self.re, centres.real - radius - _SLAB_PAD, side="left")
+        hi = np.searchsorted(self.re, centres.real + radius + _SLAB_PAD, side="right")
+        counts = np.maximum(hi - lo, 0)
+        ci = np.repeat(np.arange(centres.shape[0]), counts)
+        rank = np.arange(ci.shape[0]) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        k = self.order[rank]
+        keep = np.abs(self.points[k] - centres[ci]) <= radius[ci]
+        return ci[keep], k[keep]
 
-    def find(self, value: complex, tol: float) -> complex | None:
-        lo = np.searchsorted(self.re, value.real - tol, side="left")
-        hi = np.searchsorted(self.re, value.real + tol, side="right")
-        if lo >= hi:
-            return None
-        block = self.pts[lo:hi]
-        k = int(np.argmin(np.abs(block - value)))
-        if abs(block[k] - value) <= tol:
-            return complex(block[k])
-        return None
+    def within_rho(self, centres: np.ndarray, r: float) -> tuple:
+        """Pairs (centre index, point index) with ``rho(centre, point) < r``."""
+        if r >= 1.0:
+            disc_centres, radius = centres, 2.0  # the whole disc
+        else:
+            mod_sq = np.abs(centres) ** 2
+            shrink = 1.0 - r * r * mod_sq
+            disc_centres = centres * (1.0 - r * r) / shrink
+            radius = r * (1.0 - mod_sq) / shrink * (1.0 + _RHO_PAD) + _SLAB_PAD
+        ci, k = self.near(disc_centres, radius)
+        keep = _pseudo_hyperbolic(centres[ci], self.points[k]) < r
+        return ci[keep], k[keep]
+
+    def covers(self, values: np.ndarray, tol: float) -> bool:
+        """Whether every value lies within ``tol`` of some point."""
+        ci, _ = self.near(values, tol)
+        return bool(np.all(np.bincount(ci, minlength=values.shape[0])))
+
+
+def _check_isolation(
+    lookup: _SortedIndex, owner: np.ndarray, anchors: np.ndarray, eps: float
+) -> None:
+    """Each anchor's rho-ball of radius eps/2 holds its own points and no others."""
+    half = eps / 2.0
+    n_words = anchors.shape[0]
+    if half >= 1.0:
+        # every ball is the whole disc, so the first anchor meets every
+        # word; decided here rather than by listing all anchor-point pairs
+        failed = np.arange(min(n_words - 1, 1))
+    else:
+        ci, k = lookup.within_rho(anchors, half)
+        hits = np.bincount(ci, minlength=n_words)
+        foreign = np.bincount(ci[owner[k] != ci], minlength=n_words)
+        failed = np.flatnonzero((hits == 0) | (foreign > 0))
+    if failed.size:
+        raise EncodingError(
+            "cluster isolation failed near word index "
+            f"{int(failed[0])}: eps is too large for this window"
+        )
+
+
+def _check_distinct(lookup: _SortedIndex) -> None:
+    ci, k = lookup.near(lookup.points, _DISTINCT_GAP)
+    if np.any(ci != k):
+        raise EncodingError("two configuration points coincide")
 
 
 def word_search_equivalence(
@@ -409,7 +432,7 @@ def _apply_map(f: DiscAutomorphism, values: np.ndarray) -> np.ndarray:
 
 
 def _core_values(
-    config: Configuration,
+    lookup: _SortedIndex,
     core_words: int,
     families: tuple,
     eps: float,
@@ -421,19 +444,11 @@ def _core_values(
     core word, or when it is the leftover member of a core anchor's
     cluster (necessarily that word's third satellite).
     """
-    pts = config.points
     ref012 = np.concatenate([families[fam][:core_words] for fam in range(3)])
-    matched = np.zeros(pts.shape[0], dtype=bool)
-    for i, p in enumerate(pts):
-        if np.min(np.abs(ref012 - p)) <= tol:
-            matched[i] = True
-    extra = np.zeros(pts.shape[0], dtype=bool)
-    half = eps / 2.0
-    for anchor in families[0][:core_words]:
-        dist = np.abs(anchor - pts) / np.abs(1.0 - np.conj(anchor) * pts)
-        in_cluster = dist < half
-        extra |= in_cluster & ~matched
-    return pts[matched | extra]
+    core = np.zeros(lookup.points.shape[0], dtype=bool)
+    core[lookup.near(ref012, tol)[1]] = True
+    core[lookup.within_rho(families[0][:core_words], eps / 2.0)[1]] = True
+    return lookup.points[core]
 
 
 def geometric_equivalence(
@@ -466,20 +481,21 @@ def geometric_equivalence(
     core_words = sum(1 for w in words if len(w) <= core_len)
 
     triple = (params.base, params.satellites[0], params.satellites[1])
-    index_q = _PointIndex(config_q.points)
-    index_p = _PointIndex(config_p.points)
-    core_p = _core_values(config_p, core_words, families, params.eps, tol)
-    core_q = _core_values(config_q, core_words, families, params.eps, tol)
+    index_q = _SortedIndex(config_q.points)
+    index_p = _SortedIndex(config_p.points)
+    core_p = _core_values(index_p, core_words, families, params.eps, tol)
+    core_q = _core_values(index_q, core_words, families, params.eps, tol)
+    q = config_q.points
+    anchor_refs = families[0][:n_candidates]
+    ref_of, near_ref = index_q.near(anchor_refs, tol)
 
     for gi in range(n_candidates):
-        anchor_ref = complex(families[0][gi])
-        anchor = index_q.find(anchor_ref, tol)
-        if anchor is None:
+        hits = near_ref[ref_of == gi]
+        if hits.size == 0:
             continue
-        dist = np.abs(anchor - config_q.points) / np.abs(
-            1.0 - np.conj(anchor) * config_q.points
-        )
-        cluster = config_q.points[dist < params.eps / 2.0]
+        anchor = q[hits[np.argmin(np.abs(q[hits] - anchor_refs[gi]))]]
+        _, members = index_q.within_rho(np.array([anchor]), params.eps / 2.0)
+        cluster = q[np.sort(members)]
         if cluster.shape[0] not in (3, 4):
             continue
         try:
@@ -500,10 +516,9 @@ def geometric_equivalence(
             abs(f(zs) - realized(zs)) > map_tol for zs in _REALIZATION_SAMPLES
         ):
             continue
-        if not index_q.contains_all(_apply_map(f, core_p), tol):
+        if not index_q.covers(_apply_map(f, core_p), tol):
             continue
-        f_inv = f.inverse()
-        if not index_p.contains_all(_apply_map(f_inv, core_q), tol):
+        if not index_p.covers(_apply_map(f.inverse(), core_q), tol):
             continue
         return EquivalenceVerdict(
             equivalent=True,

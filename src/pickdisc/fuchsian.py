@@ -16,12 +16,16 @@ calibrated threshold to report that contrast, and
 `calibrate_blaschke_thresholds` regenerates the calibration from a full
 enumeration.
 
-The breadth-first enumeration is vectorized per level with int64
-matrices; widths are checked before each multiplication and overflow
-raises instead of wrapping.  Orbit points are produced by conjugating
-the half-plane action to the disc, and ``1 - |point|`` is computed from
-the identity ``|den|^2 - |num|^2 = (|alpha|^2 - |beta|^2)(1 - |z|^2)``,
-which avoids cancellation when points crowd the boundary.
+One breadth-first expansion of the word tree, vectorized per sphere
+with int64 matrices and int8 letter rows, serves every caller:
+`enumerate_words` turns its letter rows into `Word` objects,
+`orbit_points` evaluates its matrices, and the encoding layer takes
+both for its word window.  Widths are checked before each
+multiplication and overflow raises instead of wrapping.  Orbit points
+are produced by conjugating the half-plane action to the disc, and
+``1 - |point|`` is computed from the identity
+``|den|^2 - |num|^2 = (|alpha|^2 - |beta|^2)(1 - |z|^2)``, which avoids
+cancellation when points crowd the boundary.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hypgeo import Mat2
+from .hypgeo import Mat2, _pseudo_hyperbolic
 
 __all__ = [
     "Word",
@@ -168,17 +172,9 @@ def enumerate_words(max_length: int) -> list:
     """All reduced words of length <= max_length in canonical order."""
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
-    out = [Word(())]
-    level = [()]
-    for _ in range(max_length):
-        nxt = []
-        for letters in level:
-            allowed = _CHILD_TABLE[letters[-1]] if letters else _ALPHABET
-            for l in allowed:
-                nxt.append(letters + (l,))
-        out.extend(Word(t) for t in nxt)
-        level = nxt
-    return out
+    # the letter rows are the same under every preset
+    spheres = _spheres(GAMMA3, max_length, max_length)
+    return [w for _, _, rows in spheres for w in _row_words(rows)]
 
 
 def word_to_matrix(word: Word, preset: GroupPreset) -> Mat2:
@@ -228,11 +224,7 @@ class OrbitTable:
         level = self.levels[length]
         if level.letters is None:
             raise ValueError(f"words of length {length} were not stored (store_limit)")
-        if length == 0:
-            yield Word(())
-            return
-        for row in level.letters:
-            yield Word(tuple(int(l) for l in row))
+        yield from _row_words(level.letters)
 
     def iter_rows(self) -> Iterator[tuple]:
         """(word string, length, point, 1 - |point|) over all stored levels."""
@@ -267,8 +259,9 @@ def _eval_points(mats: np.ndarray, z: complex) -> tuple:
     return w, one_minus
 
 
-def _rho_to(z: complex, points: np.ndarray) -> np.ndarray:
-    return np.abs(z - points) / np.abs(1.0 - np.conj(z) * points)
+def _row_words(rows: np.ndarray) -> list:
+    """Words from int8 letter rows (one word per row)."""
+    return [Word(tuple(row)) for row in rows.tolist()]
 
 
 def _next_level(mats: np.ndarray, last: np.ndarray, gens: dict) -> tuple:
@@ -296,6 +289,38 @@ def _next_level(mats: np.ndarray, last: np.ndarray, gens: dict) -> tuple:
     return child_mats, child_letters.reshape(-1)
 
 
+def _spheres(preset: GroupPreset, max_length: int, letters_up_to: int) -> Iterator[tuple]:
+    """The word tree breadth first: ``(length, matrices, letter rows)`` per sphere.
+
+    This is the package's one letter expansion.  Each sphere's words
+    come in canonical order as int64 matrices and as an int8 array of
+    letter rows; spheres longer than ``letters_up_to`` give ``None``
+    for the rows.
+    """
+    gens = _generator_arrays(preset)
+    mats = np.array([np.eye(2, dtype=np.int64)])
+    last = np.zeros(1, dtype=np.int8)  # sentinel: identity has no final letter
+    history = np.empty((1, 0), dtype=np.int8)
+    yield 0, mats, history if letters_up_to >= 0 else None
+    for length in range(1, max_length + 1):
+        if length == 1:
+            mats = np.stack([gens[t] for t in _ALPHABET])
+            last = np.array(_ALPHABET, dtype=np.int8)
+        else:
+            mats, last = _next_level(mats, last, gens)
+        expected = 4 * 3 ** (length - 1)
+        if mats.shape[0] != expected:
+            raise RuntimeError(f"sphere {length} has {mats.shape[0]} words, expected {expected}")
+        if length <= letters_up_to:
+            history = np.concatenate(
+                [np.repeat(history, mats.shape[0] // history.shape[0], axis=0), last[:, None]],
+                axis=1,
+            )
+        else:
+            history = None
+        yield length, mats, history
+
+
 def orbit_points(
     z: complex,
     max_length: int,
@@ -317,75 +342,37 @@ def orbit_points(
     total = 2 * 3**max_length - 1
     if total > word_cap:
         raise ValueError(f"enumeration of {total} words exceeds the cap of {word_cap}")
-
-    gens = _generator_arrays(preset)
-    levels = []
     sigma0 = 1.0 - abs(z)
     if sigma0 <= _BOUNDARY_GUARD:
         raise ValueError("base point is numerically on the boundary")
-    store0 = store_limit >= 0
-    levels.append(
-        OrbitLevel(
-            length=0,
-            size=1,
-            sigma=sigma0,
-            cumulative=sigma0,
-            min_rho=math.inf,
-            points=np.array([z], dtype=complex) if store0 else None,
-            one_minus=np.array([sigma0]) if store0 else None,
-            letters=np.empty((1, 0), dtype=np.int8) if store0 else None,
-        )
-    )
 
-    mats = np.array([np.eye(2, dtype=np.int64)])
-    last = np.zeros(1, dtype=np.int8)  # sentinel: identity has no final letter
-    history = np.empty((1, 0), dtype=np.int8)
-    cumulative = sigma0
-
-    for length in range(1, max_length + 1):
-        if length == 1:
-            child_mats = np.stack([gens[t] for t in _ALPHABET])
-            flat_letters = np.array(_ALPHABET, dtype=np.int8)
+    levels = []
+    cumulative = 0.0
+    for length, mats, letters in _spheres(preset, max_length, store_limit):
+        if length == 0:
+            points, one_minus, min_rho = np.array([z]), np.array([sigma0]), math.inf
         else:
-            child_mats, flat_letters = _next_level(mats, last, gens)
-        expected = 4 * 3 ** (length - 1)
-        if child_mats.shape[0] != expected:
-            raise RuntimeError(
-                f"sphere {length} has {child_mats.shape[0]} words, expected {expected}"
-            )
-        points, one_minus = _eval_points(child_mats, z)
-        if float(one_minus.min()) <= _BOUNDARY_GUARD:
-            raise RuntimeError(
-                f"orbit point at sphere {length} is numerically on the boundary"
-            )
+            points, one_minus = _eval_points(mats, z)
+            if float(one_minus.min()) <= _BOUNDARY_GUARD:
+                raise RuntimeError(
+                    f"orbit point at sphere {length} is numerically on the boundary"
+                )
+            min_rho = float(_pseudo_hyperbolic(z, points).min())
         sigma = float(one_minus.sum())
         cumulative += sigma
-        min_rho = float(_rho_to(z, points).min())
-
         store = length <= store_limit
-        if store:
-            if history.shape[0] * 3 != flat_letters.shape[0] and length > 1:
-                raise RuntimeError("letter bookkeeping out of step")
-            if length == 1:
-                history = flat_letters.reshape(-1, 1)
-            else:
-                history = np.concatenate(
-                    [np.repeat(history, 3, axis=0), flat_letters.reshape(-1, 1)], axis=1
-                )
         levels.append(
             OrbitLevel(
                 length=length,
-                size=int(child_mats.shape[0]),
+                size=int(mats.shape[0]),
                 sigma=sigma,
                 cumulative=cumulative,
                 min_rho=min_rho,
                 points=points if store else None,
                 one_minus=one_minus if store else None,
-                letters=history.copy() if store else None,
+                letters=letters,
             )
         )
-        mats = child_mats
-        last = flat_letters
     return OrbitTable(base=z, preset_name=preset.name, levels=tuple(levels))
 
 

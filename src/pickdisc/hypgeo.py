@@ -219,6 +219,15 @@ def phi_a(a, z):
     return (av - proj - s_a * (zv - proj)) / (1.0 - inner)
 
 
+def _pseudo_hyperbolic(a, b):
+    """``|a - b| / |1 - conj(a) b|`` for disc points, unchecked.
+
+    Python complex scalars stay in Python arithmetic and numpy arrays
+    broadcast, so each caller gets the arithmetic it always had.
+    """
+    return abs(a - b) / abs(1.0 - a.conjugate() * b)
+
+
 def rho(a, b) -> float:
     """Pseudo-hyperbolic distance |phi_a(b)|, automorphism-invariant."""
     if np.ndim(a) == 0 and np.ndim(b) == 0:
@@ -226,7 +235,7 @@ def rho(a, b) -> float:
         b = complex(b)
         if abs(a) >= 1 or abs(b) >= 1:
             raise ValueError("points must lie strictly inside the disc")
-        return abs(a - b) / abs(1.0 - a.conjugate() * b)
+        return _pseudo_hyperbolic(a, b)
     return float(np.linalg.norm(phi_a(a, b)))
 
 
@@ -275,7 +284,9 @@ def moebius_through_three_points(
     The unique sphere map with ``f(src[i]) = dst[i]`` is assembled from
     cross-ratio matrices; it is returned as a `DiscAutomorphism` when its
     determinant-normalized matrix has the disc-preserving symmetry
-    ``(alpha, beta; conj beta, conj alpha)`` within ``tol``, and a
+    ``(alpha, beta; conj beta, conj alpha)`` within ``tol`` times
+    ``max(1, |alpha|, |beta|)`` (long words have coefficients far above
+    1, as in `DiscAutomorphism.almost_equal`), and a
     `DiscPreservationError` carrying the sphere coefficients is raised
     otherwise.  Coincident points in either triple are rejected.
     """
@@ -311,7 +322,8 @@ def moebius_through_three_points(
         raise ValueError("degenerate three-point problem")
     m = m / cmath.sqrt(det)
     a_, b_, c_, d_ = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    if abs(d_ - a_.conjugate()) <= tol and abs(c_ - b_.conjugate()) <= tol:
+    scaled = tol * max(1.0, abs(a_), abs(b_))
+    if abs(d_ - a_.conjugate()) <= scaled and abs(c_ - b_.conjugate()) <= scaled:
         return DiscAutomorphism(a_, b_)
     raise DiscPreservationError(
         "sphere map through the given triples does not preserve the disc",

@@ -126,26 +126,39 @@ def _pairings(nodes: Sequence[Sequence[complex]]) -> np.ndarray:
     return arr @ arr.conj().T
 
 
+def _kernel_gram(kernel: CoefficientSequence, nodes, kernel_tol: float) -> np.ndarray:
+    """``K(z_i, z_j)`` evaluated for i <= j and mirrored by conjugation.
+
+    The diagonal is real and the result Hermitian by construction.
+    Kernel evaluations that cannot certify their tail at ``kernel_tol``
+    propagate as errors.
+    """
+    inner = _pairings(nodes)
+    n = inner.shape[0]
+    gram = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            val = complex(kernel_eval(kernel, inner[i, j], tol=kernel_tol))
+            gram[i, j] = val if i != j else complex(val.real, 0.0)
+            if i != j:
+                gram[j, i] = val.conjugate()
+    return gram
+
+
 def build_pick_matrix(problem: PickProblem, kernel_tol: float = 1e-10) -> HermitianMatrix:
     """Assemble the Pick matrix with certified kernel evaluations.
 
-    Entries are computed for i <= j and mirrored by conjugation, so the
-    result is Hermitian by construction.  Kernel evaluations that cannot
-    certify their tail at ``kernel_tol`` propagate as errors.
+    The kernel Gram matrix is multiplied entrywise by
+    ``1 - lambda_i conj(lambda_j)``, so the result is Hermitian by
+    construction.  Kernel evaluations that cannot certify their tail at
+    ``kernel_tol`` propagate as errors.
     """
-    n = len(problem)
-    inner = _pairings(problem.nodes)
-    targets = problem.targets
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            k_val = complex(kernel_eval(problem.kernel, inner[i, j], tol=kernel_tol))
-            entry = k_val * (1.0 - targets[i] * targets[j].conjugate())
-            out[i, j] = entry
-            if i != j:
-                out[j, i] = entry.conjugate()
-            else:
-                out[i, j] = complex(entry.real, 0.0)
+    gram = _kernel_gram(problem.kernel, problem.nodes, kernel_tol)
+    t = problem.targets
+    out = np.array(
+        [[k * (1.0 - ti * tj.conjugate()) for k, tj in zip(row, t)] for row, ti in zip(gram, t)]
+    )
+    np.fill_diagonal(out, out.diagonal().real)
     return HermitianMatrix(out)
 
 
@@ -199,14 +212,7 @@ def gram_and_irreducibility(
         if sum(abs(c) ** 2 for c in p) >= 1.0:
             raise ValueError("points must lie strictly inside the unit ball")
     n = len(pts)
-    inner = _pairings(pts)
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            val = complex(kernel_eval(kernel, inner[i, j], tol=kernel_tol))
-            gram[i, j] = val if i != j else complex(val.real, 0.0)
-            if i != j:
-                gram[j, i] = val.conjugate()
+    gram = _kernel_gram(kernel, pts, kernel_tol)
     verdict = True
     for i in range(n):
         for j in range(i + 1, n):

@@ -98,6 +98,13 @@ def test_growth_reports_the_ratio_spread(capsys):
     assert payload["ratio_spread"] == 4.0
 
 
+def test_growth_rejects_a_malformed_number_list(capsys):
+    code, out, err = run_cli(capsys, "growth", "--a", "1,x", "--a-prime", "1,2")
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and "1,x" in err
+
+
 # ---------------------------------------------------------------------------
 # pick / kernel-eval
 # ---------------------------------------------------------------------------

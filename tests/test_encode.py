@@ -3,7 +3,8 @@
 The word-search procedure is exact combinatorics and serves as the
 oracle for the geometric procedure: on every pair tried here the two
 must return the same verdict, and (nonempty sets having trivial
-stabilizers in a free group) the same witness word.
+stabilizers in a free group) the same witness word.  A brute-force
+oracle (all-pairs distances, no point index) pins the indexed lookups.
 """
 
 import math
@@ -12,16 +13,26 @@ import numpy as np
 import pytest
 
 from pickdisc.encode import (
+    _REALIZATION_SAMPLES,
     Configuration,
     EncodingError,
     EncodingParams,
+    _apply_map,
     build_configuration,
     geometric_equivalence,
     make_params,
     word_search_equivalence,
 )
-from pickdisc.fuchsian import GAMMA3, Word, enumerate_words, word_to_matrix
-from pickdisc.hypgeo import moebius_from_matrix, rho
+from pickdisc.fuchsian import GAMMA3, Word, _eval_points, enumerate_words, word_to_matrix
+from pickdisc.hypgeo import (
+    DegenerateConfigurationError,
+    DiscPreservationError,
+    RigidityMatchError,
+    moebius_from_matrix,
+    moebius_through_three_points,
+    rho,
+    triple_rigidity_match,
+)
 
 PARAMS = make_params()  # entry-3 preset, window 4, base 0
 
@@ -265,3 +276,210 @@ def test_verdict_serialization():
     assert not miss.equivalent
     assert miss.as_dict()["witness_word"] is None
     assert miss.as_dict()["witness_map"] is None
+
+
+# ---------------------------------------------------------------------------
+# the point index against brute force
+# ---------------------------------------------------------------------------
+#
+# The oracle below decides everything by brute force: matrices word by
+# word, isolation from all anchor-to-point distances, distinctness by a
+# sweep, core values and lookups by a minimum over every point.  The
+# indexed package must reproduce its points, labels, errors, verdicts
+# and witnesses exactly.
+
+def _oracle_reference(params):
+    words = enumerate_words(params.window)
+    mats = np.array(
+        [word_to_matrix(w, params.preset).entries() for w in words], dtype=np.int64
+    ).reshape(-1, 2, 2)
+    families = tuple(_eval_points(mats, complex(x))[0] for x in params.quadruple())
+    return words, families
+
+
+def _oracle_rho(anchors, pts):
+    return np.abs(anchors[:, None] - pts[None, :]) / np.abs(
+        1.0 - np.conj(anchors[:, None]) * pts[None, :]
+    )
+
+
+def _oracle_build(subset, params):
+    """Points and labels, or the EncodingError message."""
+    words, families = _oracle_reference(params)
+    subset = set(subset)
+    points, labels, owner = [], [], []
+    for i, w in enumerate(words):
+        for fam in range(4 if w in subset else 3):
+            points.append(complex(families[fam][i]))
+            labels.append((w.to_string(), fam))
+            owner.append(i)
+    pts = np.array(points, dtype=complex)
+    owner = np.array(owner)
+    anchors = families[0]
+    for start in range(0, anchors.shape[0], 128):
+        near = _oracle_rho(anchors[start : start + 128], pts) < params.eps / 2.0
+        for k, row in enumerate(near):
+            if not row.any() or np.any(owner[row] != start + k):
+                return (
+                    "cluster isolation failed near word index "
+                    f"{start + k}: eps is too large for this window"
+                )
+    s = np.sort_complex(pts)
+    for i in range(s.shape[0] - 1):
+        j = i + 1
+        while j < s.shape[0] and s[j].real - s[i].real <= 1e-12:
+            if abs(s[j] - s[i]) <= 1e-12:
+                return "two configuration points coincide"
+            j += 1
+    return pts, tuple(labels)
+
+
+def _oracle_core(pts, core_words, families, eps, tol):
+    ref012 = np.concatenate([families[fam][:core_words] for fam in range(3)])
+    matched = np.array([np.min(np.abs(ref012 - p)) <= tol for p in pts])
+    in_cluster = _oracle_rho(families[0][:core_words], pts) < eps / 2.0
+    return pts[matched | in_cluster.any(axis=0)]
+
+
+def _oracle_contains_all(pts, values, tol):
+    return all(np.min(np.abs(pts - v)) <= tol for v in values)
+
+
+def _oracle_geometric(p_pts, q_pts, params, search_length, tol=1e-8, map_tol=1e-9):
+    """(equivalent, witness word, witness (alpha, beta))."""
+    words, families = _oracle_reference(params)
+    n_candidates = sum(1 for w in words if len(w) <= search_length)
+    core_words = sum(1 for w in words if len(w) <= params.window - search_length)
+    triple = (params.base, params.satellites[0], params.satellites[1])
+    core_p = _oracle_core(p_pts, core_words, families, params.eps, tol)
+    core_q = _oracle_core(q_pts, core_words, families, params.eps, tol)
+    for gi in range(n_candidates):
+        gap = np.abs(q_pts - families[0][gi])
+        if gap.min() > tol:
+            continue
+        anchor = q_pts[np.argmin(gap)]
+        cluster = q_pts[_oracle_rho(np.array([anchor]), q_pts)[0] < params.eps / 2.0]
+        if cluster.shape[0] not in (3, 4):
+            continue
+        try:
+            sigma = triple_rigidity_match(
+                triple, tuple(complex(c) for c in cluster), delta=params.delta / 2.0, tol=tol
+            )
+            f = moebius_through_three_points(triple, tuple(complex(cluster[s]) for s in sigma))
+        except (
+            DegenerateConfigurationError, RigidityMatchError, DiscPreservationError, ValueError
+        ):
+            continue
+        realized = moebius_from_matrix(word_to_matrix(words[gi], params.preset))
+        if any(abs(f(z) - realized(z)) > map_tol for z in _REALIZATION_SAMPLES):
+            continue
+        if not _oracle_contains_all(q_pts, _apply_map(f, core_p), tol):
+            continue
+        if not _oracle_contains_all(p_pts, _apply_map(f.inverse(), core_q), tol):
+            continue
+        return True, words[gi], (f.alpha, f.beta)
+    return False, None, None
+
+
+def _agree_with_oracle(set_a, set_b, params, search_length):
+    config_a = build_configuration(set_a, params)
+    config_b = build_configuration(set_b, params)
+    for subset, config in ((set_a, config_a), (set_b, config_b)):
+        pts, labels = _oracle_build(subset, params)
+        assert config.points.tobytes() == pts.tobytes()
+        assert config.labels == labels
+    verdict = geometric_equivalence(config_a, config_b, params, search_length)
+    witness_map = verdict.witness_map and (verdict.witness_map.alpha, verdict.witness_map.beta)
+    expected = _oracle_geometric(config_a.points, config_b.points, params, search_length)
+    assert (verdict.equivalent, verdict.witness_word, witness_map) == expected
+    return verdict.equivalent
+
+
+@pytest.mark.parametrize("window, pairs", [(4, 8), (6, 1)])
+def test_index_matches_the_brute_force_oracle(window, pairs):
+    """Seeded subset pairs at search lengths 1 to 3, half of them translates."""
+    params = make_params(GAMMA3, window=window)
+    words = enumerate_words(window)
+    rng = np.random.default_rng(window)
+    outcomes = set()
+    for trial in range(3 * pairs):
+        s = 1 + trial % 3
+        core = [w for w in words if len(w) <= window - s]
+        translators = [w for w in words if len(w) <= s]
+        set_a = [core[i] for i in rng.choice(len(core), rng.integers(1, 4), replace=False)]
+        g = translators[rng.integers(len(translators))]
+        set_b = [g * w for w in set_a]
+        if trial % 2:  # swap one word, so no translate is expected
+            set_b = set_b[1:] + [core[rng.integers(len(core))]]
+        outcomes.add(_agree_with_oracle(set_a, set_b, params, s))
+    assert outcomes == {True, False}
+
+
+def test_index_matches_the_oracle_at_the_core_tolerance():
+    # mapped core points of this translate land about 1.1e-8 from their
+    # images, just beyond the 1e-8 core tolerance
+    params = make_params(GAMMA3, window=6, base=-0.28601639248689914 + 0.010024145884642448j)
+    set_a = [W("e"), W("b"), W("ba")]
+    assert not _agree_with_oracle(set_a, [W("ba") * w for w in set_a], params, 2)
+
+
+def _hand_built(**changes):
+    small = make_params(window=2)
+    fields = dict(
+        preset=small.preset,
+        base=small.base,
+        eps=small.eps,
+        satellites=small.satellites,
+        delta=small.delta,
+        window=2,
+    )
+    fields.update(changes)
+    return EncodingParams(**fields)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(eps=0.6),
+        dict(eps=0.9),
+        dict(eps=1.9),
+        dict(eps=2.5),
+        dict(eps=2.5, window=0),
+        dict(eps=0.0),
+        dict(eps=-0.3),
+        dict(satellites=(make_params(window=2).satellites[0],) * 2
+             + make_params(window=2).satellites[2:]),
+        # the first satellite sits next to AAA(base), so aa carries a
+        # point into the cluster of A (word index 2) and no earlier one
+        dict(satellites=(moebius_from_matrix(word_to_matrix(W("AAA"), GAMMA3))(0j) + 1e-9,)
+             + make_params(window=2).satellites[1:]),
+    ],
+    ids=["eps-0.6", "eps-0.9", "eps-1.9", "eps-2.5", "eps-2.5-one-word", "eps-0",
+         "eps-negative", "coincident", "foreign-point"],
+)
+def test_hand_built_params_match_the_brute_force_oracle(changes):
+    _check_hand_built(_hand_built(**changes))
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_cluster_radius_at_the_nearest_foreign_point(side):
+    # eps/2 just below or just above the distance from the base anchor to
+    # the nearest point of another word
+    subset = [W("a"), W("bA")]
+    pts, labels = _oracle_build(subset, make_params(window=2))
+    foreign = np.array([text != "e" for text, _fam in labels])
+    nearest = _oracle_rho(np.array([0j]), pts[foreign]).min()
+    _check_hand_built(_hand_built(eps=2.0 * nearest * side))
+
+
+def _check_hand_built(params):
+    subset = [w for w in (W("a"), W("bA")) if len(w) <= params.window]
+    expected = _oracle_build(subset, params)
+    if isinstance(expected, str):
+        with pytest.raises(EncodingError) as info:
+            build_configuration(subset, params)
+        assert str(info.value) == expected
+    else:
+        config = build_configuration(subset, params)
+        assert config.points.tobytes() == expected[0].tobytes()
+        assert config.labels == expected[1]

@@ -247,6 +247,23 @@ def test_three_point_rejects_metric_distortion():
         moebius_through_three_points((0j, 0.5 + 0j, -0.5 + 0j), (0j, 0.5 + 0j, 0.7 + 0j))
 
 
+def test_three_point_accepts_long_words_at_the_encoding_triple():
+    # words of length 3 have coefficients of modulus 15 to 40, so the
+    # disc-preservation residuals must be judged relative to that scale
+    from pickdisc.encode import _REALIZATION_SAMPLES, make_params
+    from pickdisc.fuchsian import GAMMA3, enumerate_words, word_to_matrix
+
+    params = make_params(GAMMA3, window=6)
+    triple = (params.base, params.satellites[0], params.satellites[1])
+    words = [w for w in enumerate_words(3) if len(w) == 3]
+    assert len(words) == 36
+    for w in words:
+        f = moebius_from_matrix(word_to_matrix(w, GAMMA3))
+        g = moebius_through_three_points(triple, tuple(f(z) for z in triple))
+        for z in _REALIZATION_SAMPLES:
+            assert abs(g(z) - f(z)) <= 1e-9, w
+
+
 @given(auto_params)
 @settings(max_examples=100, deadline=None)
 def test_three_point_recovery_random(params):
