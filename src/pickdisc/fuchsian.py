@@ -260,8 +260,18 @@ def _eval_points(mats: np.ndarray, z: complex) -> tuple:
 
 
 def _row_words(rows: np.ndarray) -> list:
-    """Words from int8 letter rows (one word per row)."""
-    return [Word(tuple(row)) for row in rows.tolist()]
+    """Words from int8 letter rows (one word per row).
+
+    The rows come from `_spheres`, which never appends the inverse of a
+    word's last letter, so they are reduced already and skip the checks
+    of ``Word(...)``.
+    """
+    words = []
+    for row in rows.tolist():
+        word = object.__new__(Word)
+        object.__setattr__(word, "letters", tuple(row))
+        words.append(word)
+    return words
 
 
 def _next_level(mats: np.ndarray, last: np.ndarray, gens: dict) -> tuple:

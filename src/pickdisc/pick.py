@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .seqkernel import CoefficientSequence, kernel_eval
+from .seqkernel import CoefficientSequence, _eval_series, _kernel_terms
 
 __all__ = [
     "PickProblem",
@@ -105,11 +105,12 @@ class PickProblem:
                 raise ValueError(f"every node must have {self.dimension} coordinates")
             if sum(abs(c) ** 2 for c in node) >= 1.0:
                 raise ValueError("nodes must lie strictly inside the unit ball")
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                gap = max(abs(a - b) for a, b in zip(nodes[i], nodes[j]))
-                if gap <= _NODE_GAP:
-                    raise ValueError(f"nodes {i} and {j} coincide")
+        arr = np.array(nodes, dtype=complex)
+        gap = np.max(np.abs(arr[:, None, :] - arr[None, :, :]), axis=2)
+        coincident = np.argwhere(np.triu(gap <= _NODE_GAP, k=1))
+        if coincident.size:
+            i, j = coincident[0]
+            raise ValueError(f"nodes {i} and {j} coincide")
         for t in targets:
             if abs(t) > 1.0:
                 raise ValueError("targets must have modulus <= 1")
@@ -126,40 +127,41 @@ def _pairings(nodes: Sequence[Sequence[complex]]) -> np.ndarray:
     return arr @ arr.conj().T
 
 
+def _mirror_upper(arr: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix with the upper triangle of ``arr`` and a real diagonal."""
+    out = np.triu(arr, k=1)
+    out += out.conj().T
+    np.fill_diagonal(out, arr.diagonal().real)
+    return out
+
+
 def _kernel_gram(kernel: CoefficientSequence, nodes, kernel_tol: float) -> np.ndarray:
-    """``K(z_i, z_j)`` evaluated for i <= j and mirrored by conjugation.
+    """``K(z_i, z_j)`` evaluated for i <= j in one batch and mirrored by conjugation.
 
     The diagonal is real and the result Hermitian by construction.
     Kernel evaluations that cannot certify their tail at ``kernel_tol``
     propagate as errors.
     """
     inner = _pairings(nodes)
-    n = inner.shape[0]
-    gram = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            val = complex(kernel_eval(kernel, inner[i, j], tol=kernel_tol))
-            gram[i, j] = val if i != j else complex(val.real, 0.0)
-            if i != j:
-                gram[j, i] = val.conjugate()
-    return gram
+    terms, ratio_bound = _kernel_terms(kernel)
+    rows, cols = np.triu_indices(inner.shape[0])
+    upper = np.zeros_like(inner)
+    upper[rows, cols] = _eval_series(terms, ratio_bound, inner[rows, cols], kernel_tol)[0]
+    return _mirror_upper(upper)
 
 
 def build_pick_matrix(problem: PickProblem, kernel_tol: float = 1e-10) -> HermitianMatrix:
     """Assemble the Pick matrix with certified kernel evaluations.
 
     The kernel Gram matrix is multiplied entrywise by
-    ``1 - lambda_i conj(lambda_j)``, so the result is Hermitian by
-    construction.  Kernel evaluations that cannot certify their tail at
-    ``kernel_tol`` propagate as errors.
+    ``1 - lambda_i conj(lambda_j)``, and the upper triangle of the
+    product is mirrored, so the result is Hermitian by construction.
+    Kernel evaluations that cannot certify their tail at ``kernel_tol``
+    propagate as errors.
     """
     gram = _kernel_gram(problem.kernel, problem.nodes, kernel_tol)
-    t = problem.targets
-    out = np.array(
-        [[k * (1.0 - ti * tj.conjugate()) for k, tj in zip(row, t)] for row, ti in zip(gram, t)]
-    )
-    np.fill_diagonal(out, out.diagonal().real)
-    return HermitianMatrix(out)
+    t = np.array(problem.targets, dtype=complex)
+    return HermitianMatrix(_mirror_upper(gram * (1.0 - np.outer(t, t.conj()))))
 
 
 def min_eigenvalue(matrix, tol: float = 1e-9) -> PsdReport:
@@ -211,14 +213,10 @@ def gram_and_irreducibility(
             raise ValueError(f"every point must have {dimension} coordinates")
         if sum(abs(c) ** 2 for c in p) >= 1.0:
             raise ValueError("points must lie strictly inside the unit ball")
-    n = len(pts)
     gram = _kernel_gram(kernel, pts, kernel_tol)
-    verdict = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(gram[i, j]) <= tol:
-                verdict = False
-            minor = gram[i, i].real * gram[j, j].real - abs(gram[i, j]) ** 2
-            if minor <= tol:
-                verdict = False
-    return HermitianMatrix(gram), bool(verdict)
+    rows, cols = np.triu_indices(len(pts), k=1)
+    moduli = np.abs(gram[rows, cols])
+    diag = gram.diagonal().real
+    minors = diag[rows] * diag[cols] - moduli**2
+    verdict = not (np.any(moduli <= tol) or np.any(minors <= tol))
+    return HermitianMatrix(gram), verdict

@@ -28,6 +28,11 @@ Conventions
 * Every verdict is a statement about the truncation actually supplied.
   Nothing here claims to decide properties of the infinite sequence
   (summability in particular is not decidable from a truncation).
+* The one exception is the tail bound of `kernel_eval`, which must
+  cover terms beyond the truncation.  It assumes that no successor
+  ratio ``a_{n+1} / a_n`` of the full sequence exceeds
+  ``max(1, largest ratio in the truncation)``.  Every log-convex kernel
+  satisfies this: its ratios rise toward 1 and never pass it.
 
 All functions are pure and all value types immutable, so concurrent use
 requires no synchronization.
@@ -39,6 +44,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 Scalar = Union[Fraction, float]
 
@@ -215,11 +222,14 @@ class KernelValue:
 
     ``value`` is the partial sum over ``terms_used`` terms and
     ``tail_bound`` dominates the absolute value of everything discarded.
+    ``ratio_bound`` is the bound on successor ratios that certified the
+    tail.
     """
 
     value: complex
     tail_bound: float
     terms_used: int
+    ratio_bound: float
 
     def __complex__(self) -> complex:
         return complex(self.value)
@@ -342,52 +352,92 @@ def same_growth_report(
     )
 
 
+def _kernel_terms(a: CoefficientSequence) -> tuple:
+    """Float terms of a kernel sequence and the ratio bound for its tail."""
+    a._require_kernel_head("a")
+    terms = np.array(a.as_floats())
+    ratio_bound = max(1.0, float(np.max(terms[1:] / terms[:-1], initial=0.0)))
+    return terms, ratio_bound
+
+
+def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: float) -> tuple:
+    """Certified partial sums of ``sum_n terms[n] u^n`` for every entry of ``u``.
+
+    Returns ``(values, tails, used)``, one entry each per entry of ``u``:
+    ``used`` is the smallest ``M >= 1`` whose tail bound
+    ``terms[M] |u|^M / (1 - ratio_bound |u|)`` is below ``tol``, ``tails``
+    is that bound and ``values`` the partial sum over ``used`` terms.
+    Errors are raised for the worst entry.
+
+    No ratio ``terms[m+1] / terms[m]`` exceeds ``ratio_bound`` and
+    ``ratio_bound |u| < 1``, so each bound decreases with ``M`` and the
+    search bisects term indices.  The sums run Horner's rule from the
+    top term down, over the entries that still need terms.  Every step
+    acts on whole arrays of one value per entry; nothing of size
+    entries x terms is built.
+    """
+    mod_u = np.abs(u)
+    worst = float(np.max(mod_u, initial=0.0))
+    if worst >= 1.0:
+        raise ValueError(f"|u| must be < 1, got {worst}")
+    n = terms.shape[0]
+    if n < 2:
+        raise UncertifiedEvaluationError("need at least two terms to bound the tail")
+    if ratio_bound * worst >= 1.0:
+        raise UncertifiedEvaluationError(
+            f"ratio bound {ratio_bound:.6g} times |u|={worst:.6g} reaches 1; tail not certifiable"
+        )
+    geom = 1.0 - ratio_bound * mod_u
+
+    def tail(m):
+        return terms[m] * mod_u**m / geom
+
+    if not np.all(tail(n - 1) < tol):
+        raise UncertifiedEvaluationError(
+            f"tail bound not met within {n} available terms at tol={tol:g}"
+        )
+    # bisect (lo, used] while keeping tail(used) < tol; M = 0 is a sentinel
+    lo = np.zeros(u.shape, dtype=np.intp)
+    used = np.full(u.shape, n - 1, dtype=np.intp)
+    for _ in range((n - 2).bit_length()):
+        mid = (lo + used + 1) // 2
+        ok = tail(mid) < tol
+        used = np.where(ok, mid, used)
+        lo = np.where(ok, lo, mid)
+    # Horner's rule from the top term down; sorted by decreasing M,
+    # entries 0..k need term m exactly when lengths[k] > m >= lengths[k + 1]
+    order = np.argsort(-used, kind="stable")
+    lengths = used[order].tolist() + [0]
+    z = u[order]
+    acc = np.zeros(u.shape, dtype=complex)
+    for k in np.flatnonzero(np.diff(lengths)).tolist():
+        head, z_head = acc[: k + 1], z[: k + 1]
+        for m in range(lengths[k] - 1, lengths[k + 1] - 1, -1):
+            head *= z_head
+            head += terms[m]
+    values = np.empty_like(acc)
+    values[order] = acc
+    return values, tail(used), used
+
+
 def kernel_eval(a: CoefficientSequence, u: complex, tol: float = 1e-10) -> KernelValue:
     """Evaluate sum_n a_n u^n with a certified geometric tail bound.
 
-    The observed successor-ratio bound ``rho = max_n a_{n+1} / a_n`` gives
-    ``a_{M+j} <= a_M rho^j``, so the discarded tail after ``M`` terms is at
-    most ``a_M |u|^M / (1 - rho |u|)``.  The smallest ``M`` within the
-    truncation meeting ``tol`` is used.  If ``rho |u| >= 1`` or no ``M``
-    achieves the bound, the evaluation is refused rather than silently
-    truncated.
+    The ratio bound ``rho = max(1, max_n a_{n+1} / a_n)`` over the
+    supplied terms is assumed to bound every successor ratio of the full
+    sequence, which holds for log-convex kernels (their ratios rise
+    toward 1).  Then ``a_{M+j} <= a_M rho^j``, so the discarded tail
+    after ``M`` terms is at most ``a_M |u|^M / (1 - rho |u|)``.  The
+    smallest ``M`` within the truncation meeting ``tol`` is used.  If
+    ``rho |u| >= 1`` or no ``M`` achieves the bound, the evaluation is
+    refused rather than silently truncated.
 
     Requires ``|u| < 1`` and a kernel-normalized sequence (``a_0 = 1``,
     positive terms).  ``u = 0`` returns exactly 1.
     """
-    a._require_kernel_head("a")
-    u = complex(u)
-    mod_u = abs(u)
-    if mod_u >= 1.0:
-        raise ValueError(f"|u| must be < 1, got {mod_u}")
-    terms = a.as_floats()
-    n = len(terms)
-    if n < 2:
-        raise UncertifiedEvaluationError("need at least two terms to bound the tail")
-    rho = max(terms[i + 1] / terms[i] for i in range(n - 1))
-    if rho * mod_u >= 1.0:
-        raise UncertifiedEvaluationError(
-            f"observed ratio bound {rho:.6g} times |u|={mod_u:.6g} reaches 1; tail not certifiable"
-        )
-    geom = 1.0 - rho * mod_u
-    m_used = None
-    pow_u = mod_u  # |u|^M for M = 1
-    for m in range(1, n):
-        if terms[m] * pow_u / geom < tol:
-            m_used = m
-            break
-        pow_u *= mod_u
-    if m_used is None:
-        raise UncertifiedEvaluationError(
-            f"tail bound not met within {n} available terms at tol={tol:g}"
-        )
-    value = 0j
-    u_pow = 1.0 + 0j
-    for m in range(m_used):
-        value += terms[m] * u_pow
-        u_pow *= u
-    tail = terms[m_used] * mod_u**m_used / geom
-    return KernelValue(value=value, tail_bound=tail, terms_used=m_used)
+    terms, ratio_bound = _kernel_terms(a)
+    values, tails, used = _eval_series(terms, ratio_bound, np.array([complex(u)]), tol)
+    return KernelValue(complex(values[0]), float(tails[0]), int(used[0]), ratio_bound)
 
 
 def _partial_products(s: Sequence[float], count: int) -> list:

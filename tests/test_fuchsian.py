@@ -7,6 +7,7 @@ the generator matrices (the four letter images of 0 all have modulus
 3/sqrt(13) under the entry-3 preset).
 """
 
+import itertools
 import math
 import random
 
@@ -93,6 +94,20 @@ def test_enumeration_counts_and_order():
         assert by_len[length] == 4 * 3 ** (length - 1)
     with pytest.raises(ValueError):
         enumerate_words(-1)
+
+
+def test_enumeration_matches_brute_force_reduced_words():
+    # every letter string in rank order a < A < b < B, kept when reduced,
+    # and built through the validating constructor
+    expected = [
+        Word(letters)
+        for length in range(7)
+        for letters in itertools.product((1, -1, 2, -2), repeat=length)
+        if all(x != -y for x, y in zip(letters, letters[1:]))
+    ]
+    words = enumerate_words(6)
+    assert words == expected
+    assert all(type(l) is int for w in words for l in w.letters)
 
 
 # ---------------------------------------------------------------------------

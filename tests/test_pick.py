@@ -8,6 +8,7 @@ minors, all of which must be nonnegative).
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,8 +22,15 @@ from pickdisc.pick import (
     gram_and_irreducibility,
     min_eigenvalue,
     pick_feasible,
+    _kernel_gram,
+    _pairings,
 )
-from pickdisc.seqkernel import CoefficientSequence, UncertifiedEvaluationError
+from pickdisc.seqkernel import (
+    CoefficientSequence,
+    RatioSequence,
+    UncertifiedEvaluationError,
+    log_convex_from_ratios,
+)
 
 ONES = CoefficientSequence.ones(256)
 
@@ -153,6 +161,18 @@ def test_problem_rejects_bad_data():
         PickProblem(ONES, 1, ((0.3,),), (1.2,))  # target outside
 
 
+def test_coincident_nodes_name_the_first_pair():
+    # (0, 4) and (1, 3) coincide; the error names the first pair in row order
+    nodes = ((0.1,), (0.3,), (0.2,), (0.3 + 1e-13,), (0.1,))
+    with pytest.raises(ValueError, match="nodes 0 and 4 coincide"):
+        PickProblem(ONES, 1, nodes, (0j,) * 5)
+    # the gap is the largest coordinate difference
+    nodes = ((0.1, 0.2), (0.1 + 5e-13, 0.2 - 5e-13), (0.1, 0.2 + 2e-12))
+    with pytest.raises(ValueError, match="nodes 0 and 1 coincide"):
+        PickProblem(ONES, 2, nodes, (0j,) * 3)
+    assert len(PickProblem(ONES, 2, nodes[::2], (0j,) * 2)) == 2
+
+
 def test_problem_len_and_coercion():
     problem = PickProblem(ONES, 1, ((0.25,), (0.5,)), (0, Fraction(1, 2)))
     assert len(problem) == 2
@@ -253,3 +273,81 @@ def test_gram_validates_points():
         gram_and_irreducibility(ONES, 2, ((0.1,),))
     with pytest.raises(ValueError):
         gram_and_irreducibility(ONES, 1, (1.0,))
+
+
+# ---------------------------------------------------------------------------
+# batched Gram fill against a per-entry Python oracle
+# ---------------------------------------------------------------------------
+
+GRAM_KERNELS = {
+    "log-convex-256": log_convex_from_ratios(
+        RatioSequence(tuple(random.Random(8).uniform(0.6, 0.98) for _ in range(255))), 256
+    ),
+    "exact-128": CoefficientSequence.exact_rational([Fraction(1, n + 1) for n in range(128)]),
+    "ones-256": ONES,
+}
+GRAM_TOL = 1e-10
+
+
+def _ball_point(rng, dimension, radius):
+    v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dimension)]
+    norm = math.sqrt(sum(abs(c) ** 2 for c in v))
+    return tuple(c * radius / norm for c in v)
+
+
+def _oracle_entry(terms, ratio_bound, u):
+    """Partial sum, tail bound and full-truncation sum, one entry at a time."""
+    mod_u = abs(u)
+    geom = 1.0 - ratio_bound * mod_u
+    m, pow_u = 1, mod_u
+    while terms[m] * pow_u / geom >= GRAM_TOL:
+        m += 1
+        pow_u *= mod_u
+    partial, full, u_pow = 0j, 0j, 1 + 0j
+    for k, a in enumerate(terms):
+        if k < m:
+            partial += a * u_pow
+        full += a * u_pow
+        u_pow *= u
+    return partial, terms[m] * pow_u / geom, full
+
+
+@pytest.mark.parametrize("dimension", (1, 2, 3))
+@pytest.mark.parametrize("name", sorted(GRAM_KERNELS))
+def test_gram_and_pick_entries_match_a_python_oracle(name, dimension):
+    kernel = GRAM_KERNELS[name]
+    terms = [float(t) for t in kernel.terms]
+    ratio_bound = max(1.0, max(b / a for a, b in zip(terms, terms[1:])))
+    rng = random.Random(f"gram:{name}:{dimension}")
+    n = 48 if dimension == 3 else rng.randint(1, 47)
+    nodes = tuple(_ball_point(rng, dimension, 0.9 * math.sqrt(rng.random())) for _ in range(n))
+    targets = tuple(complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)) for _ in range(n))
+    gram = _kernel_gram(kernel, nodes, GRAM_TOL)
+    pick = build_pick_matrix(PickProblem(kernel, dimension, nodes, targets), GRAM_TOL).array
+    for m in (gram, pick):
+        assert np.array_equal(m, m.conj().T)
+        assert np.all(m.diagonal().imag == 0.0)
+    inner = _pairings(nodes)
+    for i in range(n):
+        for j in range(i, n):
+            partial, tail, full = _oracle_entry(terms, ratio_bound, complex(inner[i, j]))
+            k = complex(gram[i, j])
+            assert abs(k - partial) <= 1e-13 * max(1.0, abs(partial)), (i, j)
+            assert abs(k - full) <= tail + 1e-13 * max(1.0, abs(full)), (i, j)
+            entry = k * (1.0 - targets[i] * targets[j].conjugate())
+            assert abs(complex(pick[i, j]) - entry) <= 1e-13 * max(1.0, abs(entry)), (i, j)
+
+
+def test_irreducibility_verdict_matches_the_pair_loop():
+    rng = random.Random(21)
+    points = tuple(_ball_point(rng, 2, 0.8 * math.sqrt(rng.random())) for _ in range(12))
+    gram, _ = gram_and_irreducibility(ONES, 2, points)
+    g = gram.array
+    moduli = [abs(g[i, j]) for i in range(12) for j in range(i + 1, 12)]
+    minors = [
+        g[i, i].real * g[j, j].real - abs(g[i, j]) ** 2 for i in range(12) for j in range(i + 1, 12)
+    ]
+    # both clauses are strict: a tolerance equal to the smallest value fails
+    for tol in (min(moduli), min(minors), math.nextafter(min(minors), 0.0), 1e-9, 10.0):
+        expected = all(m > tol for m in moduli) and all(m > tol for m in minors)
+        assert gram_and_irreducibility(ONES, 2, points, tol=tol)[1] is expected, tol

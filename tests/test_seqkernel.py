@@ -5,6 +5,7 @@ from closed forms: the geometric series for the all-ones sequence and
 the logarithmic series head for b = (1/2, 1/12, 1/24).
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -178,6 +179,64 @@ def test_kernel_value_is_complex_convertible():
 def test_szego_grid_certified(u):
     out = kernel_eval(CoefficientSequence.ones(256), u)
     assert abs(out.value - 1.0 / (1.0 - u)) <= out.tail_bound + 1e-12
+
+
+def test_tail_bound_covers_ratios_beyond_the_truncation():
+    # The successor ratios of this log-convex kernel rise toward 1 past the
+    # 32 supplied terms.  Bounding them by the largest ratio seen once
+    # certified a tail of 8.99e-7 after 30 terms, while the true tail is
+    # 1.20e-6; with ratio bound 1 no supplied M certifies tol=1e-6.
+    s = RatioSequence((0.95,) * 400)
+    long = log_convex_from_ratios(s, 400)
+    assert math.fsum(a * 0.98**n for n, a in enumerate(long.terms) if n >= 30) > 1.19e-6
+    with pytest.raises(UncertifiedEvaluationError):
+        kernel_eval(log_convex_from_ratios(s, 32), 0.98, tol=1e-6)
+
+
+def test_kernel_value_records_its_ratio_bound():
+    assert kernel_eval(CoefficientSequence.ones(64), 0.25).ratio_bound == 1.0
+    # observed ratios of a log-convex kernel stay below 1; the bound is 1
+    decaying = log_convex_from_ratios(RatioSequence((0.7,) * 63), 64)
+    assert kernel_eval(decaying, 0.5).ratio_bound == 1.0
+    # ratios 2, 3/2, 7/6: the largest observed one is the bound
+    rising = CoefficientSequence.floating([1.0, 2.0, 3.0, 3.5])
+    out = kernel_eval(rising, 0.01, tol=1e-3)
+    assert out.ratio_bound == 2.0
+    assert out.terms_used == 2
+    assert out.tail_bound == pytest.approx(3.0 * 0.01**2 / (1.0 - 2.0 * 0.01), rel=1e-15)
+    with pytest.raises(UncertifiedEvaluationError, match="ratio bound 2 times"):
+        kernel_eval(rising, 0.5)
+
+
+@st.composite
+def _ratio_truncations(draw):
+    n_terms = draw(st.integers(min_value=2, max_value=48))
+    size = 4 * n_terms - 1
+    ratios = draw(st.lists(st.floats(0.5, 0.99), min_size=size, max_size=size))
+    return n_terms, RatioSequence(tuple(ratios))
+
+
+@given(
+    _ratio_truncations(),
+    st.lists(
+        st.tuples(st.floats(0.0, 0.9, exclude_max=True), st.floats(0.0, 2 * math.pi)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from((1e-3, 1e-6, 1e-10)),
+)
+@settings(max_examples=100, deadline=None)
+def test_claimed_tail_covers_a_four_times_longer_truncation(truncation, polar, tol):
+    n_terms, s = truncation
+    short = log_convex_from_ratios(s, n_terms)
+    long = log_convex_from_ratios(s, 4 * n_terms)
+    for r, phi in polar:
+        try:
+            out = kernel_eval(short, cmath.rect(r, phi), tol=tol)
+        except UncertifiedEvaluationError:
+            continue
+        tail = math.fsum(a * r**n for n, a in enumerate(long.terms) if n >= out.terms_used)
+        assert out.tail_bound >= tail * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
