@@ -29,6 +29,14 @@ queries (isolation, clusters, core reconstruction) use the same index
 and decide each candidate with the exact rho expression; each anchor is
 checked against its near neighbours only.
 
+Every configuration built from one set of params shares its base: the
+anchor and first two satellites of each window word.  The base's labels,
+its isolation counts and its distinctness are computed once per params,
+together with the word window.  Each build then checks only the third
+satellites of its subset: against the anchors for isolation, and
+against every point for distinctness.  Failures are reported exactly as
+a check from scratch would report them.
+
 Parameters are frozen per run: ``eps`` is half the calibrated orbit
 separation at the base point, satellites sit at radii eps/30, eps/18,
 eps/12 with angles spread so that all six pairwise distances of the
@@ -41,7 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import compress
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -240,9 +249,30 @@ class EquivalenceVerdict:
         }
 
 
+class _Reference(NamedTuple):
+    """What every configuration built from one params shares.
+
+    The base of a configuration is the anchor and the first two
+    satellites of every window word; only the third satellites depend on
+    the subset.  The base's isolation counts and distinctness are
+    checked here once, so a build checks only its subset's points.
+    """
+
+    words: tuple
+    mats: np.ndarray
+    families: tuple  # one value array per family, in word order
+    index: dict  # word -> position in the window
+    grid: np.ndarray  # words x families, the four values of each word
+    labels: tuple  # (word string, family) for every grid entry, word-major
+    base: "_SortedIndex"
+    hits: np.ndarray  # per anchor, base points with rho < eps/2
+    foreign: np.ndarray  # per anchor, such points of other words
+    coincide: bool  # whether two base points coincide
+
+
 @lru_cache(maxsize=16)
-def _reference(params: EncodingParams):
-    """Canonical words of the window with matrices and family values."""
+def _reference(params: EncodingParams) -> _Reference:
+    """Canonical words of the window with matrices, family values and the base checks."""
     words, mats = [], []
     for _, sphere, rows in _spheres(params.preset, params.window, params.window):
         words.extend(_row_words(rows))
@@ -253,8 +283,24 @@ def _reference(params: EncodingParams):
         vals, _ = _eval_points(mats, complex(x))
         vals.setflags(write=False)
         families.append(vals)
-    index = {w: i for i, w in enumerate(words)}
-    return tuple(words), mats, tuple(families), index
+    grid = np.stack(families, axis=1)
+    grid.setflags(write=False)
+    labels = tuple((text, fam) for text in map(Word.to_string, words) for fam in range(4))
+    base = _SortedIndex(grid[:, :3].reshape(-1))
+    owner = np.repeat(np.arange(len(words)), 3)
+    hits, foreign = _isolation_counts(base, owner, families[0], params.eps / 2.0)
+    return _Reference(
+        words=tuple(words),
+        mats=mats,
+        families=tuple(families),
+        index={w: i for i, w in enumerate(words)},
+        grid=grid,
+        labels=labels,
+        base=base,
+        hits=hits,
+        foreign=foreign,
+        coincide=_coincident(base),
+    )
 
 
 def _check_subset(subset: Iterable[Word], window: int) -> frozenset:
@@ -276,22 +322,26 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     condition (nothing foreign within eps/2 of any anchor) and pairwise
     distinctness of all points are verified; violations raise
     `EncodingError`, signaling that eps is too large for this window.
+    The anchors and first two satellites are the same for every subset
+    and are checked once per params; each build checks its third
+    satellites against the anchors (isolation) and against every point
+    (distinctness).  The first failing anchor is reported whichever
+    points fail it, and isolation is reported before distinctness.
     """
     subset_set = _check_subset(subset, params.window)
-    words, _mats, families, index = _reference(params)
-    present = np.ones((len(words), 4), dtype=bool)  # word i carries family j
+    ref = _reference(params)
+    new = np.fromiter((ref.index[w] for w in subset_set), dtype=np.intp, count=len(subset_set))
+    present = np.ones(ref.grid.shape, dtype=bool)  # word i carries family j
     present[:, 3] = False
-    for w in subset_set:
-        present[index[w], 3] = True
-    owner, family = np.nonzero(present)  # word-major, families in order
-    pts = np.stack(families, axis=1)[present]
-    texts = [w.to_string() for w in words]
-    labels = tuple((texts[i], fam) for i, fam in zip(owner.tolist(), family.tolist()))
-
-    lookup = _SortedIndex(pts)
-    _check_isolation(lookup, owner, families[0], params.eps)
-    _check_distinct(lookup)
-    return Configuration(points=pts, labels=labels, params=params)
+    present[new, 3] = True
+    added = _SortedIndex(ref.families[3][new])
+    _check_isolation(ref, added, new, params.eps)
+    _check_distinct(ref, added)
+    return Configuration(
+        points=ref.grid[present],  # word-major, families in order
+        labels=tuple(compress(ref.labels, present.reshape(-1).tolist())),
+        params=params,
+    )
 
 
 class _SortedIndex:
@@ -344,21 +394,30 @@ class _SortedIndex:
         return bool(np.all(np.bincount(ci, minlength=values.shape[0])))
 
 
-def _check_isolation(
-    lookup: _SortedIndex, owner: np.ndarray, anchors: np.ndarray, eps: float
-) -> None:
-    """Each anchor's rho-ball of radius eps/2 holds its own points and no others."""
-    half = eps / 2.0
+def _isolation_counts(
+    lookup: _SortedIndex, owner: np.ndarray, anchors: np.ndarray, half: float
+) -> tuple:
+    """Per anchor, the points with rho < half, and how many belong to another word."""
     n_words = anchors.shape[0]
     if half >= 1.0:
-        # every ball is the whole disc, so the first anchor meets every
-        # word; decided here rather than by listing all anchor-point pairs
-        failed = np.arange(min(n_words - 1, 1))
-    else:
-        ci, k = lookup.within_rho(anchors, half)
-        hits = np.bincount(ci, minlength=n_words)
-        foreign = np.bincount(ci[owner[k] != ci], minlength=n_words)
-        failed = np.flatnonzero((hits == 0) | (foreign > 0))
+        # every ball is the whole disc; counted rather than listing all
+        # anchor-point pairs
+        hits = np.full(n_words, lookup.points.shape[0])
+        return hits, hits - np.bincount(owner, minlength=n_words)
+    ci, k = lookup.within_rho(anchors, half)
+    return (
+        np.bincount(ci, minlength=n_words),
+        np.bincount(ci[owner[k] != ci], minlength=n_words),
+    )
+
+
+def _check_isolation(ref: _Reference, added: _SortedIndex, owner: np.ndarray, eps: float) -> None:
+    """Each anchor's rho-ball of radius eps/2 holds its own points and no others."""
+    hits, foreign = ref.hits, ref.foreign
+    if owner.size:
+        more_hits, more_foreign = _isolation_counts(added, owner, ref.families[0], eps / 2.0)
+        hits, foreign = hits + more_hits, foreign + more_foreign
+    failed = np.flatnonzero((hits == 0) | (foreign > 0))
     if failed.size:
         raise EncodingError(
             "cluster isolation failed near word index "
@@ -366,9 +425,15 @@ def _check_isolation(
         )
 
 
-def _check_distinct(lookup: _SortedIndex) -> None:
+def _coincident(lookup: _SortedIndex) -> bool:
+    """Whether two points of the index lie within `_DISTINCT_GAP` of each other."""
     ci, k = lookup.near(lookup.points, _DISTINCT_GAP)
-    if np.any(ci != k):
+    return bool(np.any(ci != k))
+
+
+def _check_distinct(ref: _Reference, added: _SortedIndex) -> None:
+    """No two points, base or added, lie within `_DISTINCT_GAP` of each other."""
+    if ref.coincide or _coincident(added) or ref.base.near(added.points, _DISTINCT_GAP)[0].size:
         raise EncodingError("two configuration points coincide")
 
 
@@ -476,9 +541,11 @@ def geometric_equivalence(
     if not 0 <= search_length <= window:
         raise ValueError("search_length must lie between 0 and the window length")
     core_len = window - search_length
-    words, mats, families, _index = _reference(params)
-    n_candidates = sum(1 for w in words if len(w) <= search_length)
-    core_words = sum(1 for w in words if len(w) <= core_len)
+    ref = _reference(params)
+    words, mats, families = ref.words, ref.mats, ref.families
+    # the window's words come in canonical length order
+    n_candidates = 2 * 3**search_length - 1
+    core_words = 2 * 3**core_len - 1
 
     triple = (params.base, params.satellites[0], params.satellites[1])
     index_q = _SortedIndex(config_q.points)

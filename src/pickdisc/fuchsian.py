@@ -66,7 +66,7 @@ _CHAR_LETTERS = {ch: letter for letter, ch in _LETTER_CHARS.items()}
 # Letters allowed after a final letter t (everything but its inverse), rank order.
 _CHILD_TABLE = {t: tuple(l for l in _ALPHABET if l != -t) for t in _ALPHABET}
 
-_INT64_GUARD = 2**60  # entries above this would risk wrapping on the next product
+_INT64_GUARD = 2**60  # the largest entry ever multiplied, whatever the generators
 _BOUNDARY_GUARD = 1e-15  # orbit points must keep 1 - |point| above this
 
 
@@ -276,8 +276,12 @@ def _row_words(rows: np.ndarray) -> list:
 
 def _next_level(mats: np.ndarray, last: np.ndarray, gens: dict) -> tuple:
     """Children of a sphere in parent-major, letter-rank order."""
+    # a child entry m[i,0] g[0,j] + m[i,1] g[1,j] is at most the parent's
+    # peak times the largest absolute column sum of a letter matrix (over
+    # the four letters, inverses of each other, also the largest row sum)
+    col_sum = max(int(np.abs(g).sum(axis=0).max()) for g in gens.values())
     peak = int(np.max(np.abs(mats)))
-    if peak > _INT64_GUARD:
+    if peak > min(_INT64_GUARD, np.iinfo(np.int64).max // col_sum):
         raise OverflowError(
             f"matrix entries reached {peak}; the vectorized path would overflow int64"
         )

@@ -23,10 +23,18 @@ from pickdisc.encode import (
     make_params,
     word_search_equivalence,
 )
-from pickdisc.fuchsian import GAMMA3, Word, _eval_points, enumerate_words, word_to_matrix
+from pickdisc.fuchsian import (
+    GAMMA3,
+    GroupPreset,
+    Word,
+    _eval_points,
+    enumerate_words,
+    word_to_matrix,
+)
 from pickdisc.hypgeo import (
     DegenerateConfigurationError,
     DiscPreservationError,
+    Mat2,
     RigidityMatchError,
     moebius_from_matrix,
     moebius_through_three_points,
@@ -473,7 +481,11 @@ def test_cluster_radius_at_the_nearest_foreign_point(side):
 
 
 def _check_hand_built(params):
-    subset = [w for w in (W("a"), W("bA")) if len(w) <= params.window]
+    _build_matches_oracle([w for w in (W("a"), W("bA")) if len(w) <= params.window], params)
+
+
+def _build_matches_oracle(subset, params):
+    """The oracle's points and labels or error message, after the package agrees."""
     expected = _oracle_build(subset, params)
     if isinstance(expected, str):
         with pytest.raises(EncodingError) as info:
@@ -483,3 +495,110 @@ def _check_hand_built(params):
         config = build_configuration(subset, params)
         assert config.points.tobytes() == expected[0].tobytes()
         assert config.labels == expected[1]
+    return expected
+
+
+# ---------------------------------------------------------------------------
+# the per-subset checks against brute force
+# ---------------------------------------------------------------------------
+#
+# A build checks the anchors and first two satellites once per params and
+# then only the third satellites of its subset.  The hand-built params
+# below put those third satellites where they collide with, or intrude
+# on, other points, so only the per-subset checks can catch them.
+
+_ORBIT = {
+    text: moebius_from_matrix(word_to_matrix(W(text), GAMMA3))(0j) for text in ("a", "AAA")
+}
+
+
+def _isolation_message(index):
+    return f"cluster isolation failed near word index {index}: eps is too large for this window"
+
+
+def test_third_satellite_on_the_first_coincides_in_every_nonempty_subset():
+    s = make_params(window=2).satellites
+    params = _hand_built(satellites=(s[0], s[1], s[0]))
+    words = enumerate_words(2)
+    for subset in [[]] + [[w] for w in words] + [words[::3], words]:
+        expected = _build_matches_oracle(subset, params)
+        if subset:
+            assert expected == "two configuration points coincide"
+        else:
+            assert not isinstance(expected, str)
+
+
+def test_foreign_third_satellite_fails_only_the_subsets_carrying_it():
+    # a AAA = AA and aa AAA = A, so the third satellites of a and aa sit in
+    # the clusters of AA (word index 8) and A (word index 2)
+    s = make_params(window=2).satellites
+    params = _hand_built(satellites=s[:2] + (_ORBIT["AAA"] + 1e-9,))
+    carriers = {W("a"): 8, W("aa"): 2}
+    words = enumerate_words(2)
+    for subset in [[]] + [[w] for w in words] + [[W("a"), W("aa")], [W("b"), W("a"), W("BB")]]:
+        expected = _build_matches_oracle(subset, params)
+        failing = [carriers[w] for w in subset if w in carriers]
+        if failing:
+            assert expected == _isolation_message(min(failing))
+        else:
+            assert not isinstance(expected, str)
+
+
+def test_third_satellites_of_two_words_coincide_at_an_elliptic_fixed_point():
+    # a is a rotation of order 3 about (2 - sqrt 3) i, so third satellites
+    # placed there coincide for e, a and A, and with no other point
+    rot = GroupPreset("ROT", Mat2(0, -1, 1, 1), Mat2(1, 0, 3, 1))
+    params = EncodingParams(
+        preset=rot,
+        base=0.5j,
+        eps=0.05,
+        satellites=(0.501j, 0.5j + 0.002, 1j * (2.0 - math.sqrt(3.0))),
+        delta=0.05 / 400.0,
+        window=1,
+    )
+    for subset, coincide in (
+        ([], False),
+        ([W("e")], False),
+        ([W("b"), W("e")], False),
+        ([W("e"), W("a")], True),
+        ([W("a"), W("A")], True),
+    ):
+        expected = _build_matches_oracle(subset, params)
+        if coincide:
+            assert expected == "two configuration points coincide"
+        else:
+            assert not isinstance(expected, str)
+
+
+@pytest.mark.parametrize(
+    "first, subset, expected",
+    [
+        # the first satellite fails the base at word index 2 (as in
+        # foreign-point above); the third satellite of e lies in the
+        # cluster of a (index 1), that of b in the cluster of ba (index 11)
+        ("foreign", [], _isolation_message(2)),
+        ("foreign", [W("e")], _isolation_message(1)),
+        ("foreign", [W("b")], _isolation_message(2)),
+        ("foreign", [W("b"), W("e")], _isolation_message(1)),
+        # coincident base points are reported after the subset's isolation
+        ("second", [], "two configuration points coincide"),
+        ("second", [W("e")], _isolation_message(1)),
+    ],
+    ids=["base", "subset-first", "base-first", "both", "base-coincide", "isolation-first"],
+)
+def test_failures_of_base_and_subset_are_reported_as_from_scratch(first, subset, expected):
+    s = make_params(window=2).satellites
+    sat1 = _ORBIT["AAA"] + 1e-9 if first == "foreign" else s[1]
+    params = _hand_built(satellites=(sat1, s[1], _ORBIT["a"] + 1e-9))
+    assert _build_matches_oracle(subset, params) == expected
+
+
+@pytest.mark.parametrize("window, builds", [(4, 20), (6, 6)])
+def test_builds_alternating_two_params_match_the_oracle(window, builds):
+    """Seeded subsets of 0 to 4 words from two params of one window, in turn."""
+    both = (make_params(GAMMA3, window=window), make_params(GAMMA3, window=window, base=0.2 - 0.1j))
+    words = enumerate_words(window)
+    rng = np.random.default_rng(100 + window)
+    for trial in range(builds):
+        subset = [words[i] for i in rng.choice(len(words), trial % 5, replace=False)]
+        assert not isinstance(_build_matches_oracle(subset, both[trial % 2]), str)

@@ -239,6 +239,20 @@ def test_next_level_guards_against_int64_overflow():
         _next_level(mats, last, gens)
 
 
+def test_spheres_raise_before_large_generators_wrap_int64():
+    # entries of 1000 reach about 1e18 at sphere 6, where one more letter
+    # would wrap int64 although they are still below 2**60
+    from pickdisc.fuchsian import _row_words, _spheres
+
+    big = GroupPreset("BIG", Mat2(1, 1000, 0, 1), Mat2(1, 0, 1000, 1))
+    spheres = _spheres(big, 7, 7)
+    for _length, mats, rows in itertools.islice(spheres, 7):
+        exact = [list(word_to_matrix(w, big).entries()) for w in _row_words(rows)]
+        assert mats.reshape(-1, 4).tolist() == exact
+    with pytest.raises(OverflowError):
+        next(spheres)
+
+
 # ---------------------------------------------------------------------------
 # separation
 # ---------------------------------------------------------------------------
