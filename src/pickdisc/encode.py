@@ -8,16 +8,21 @@ the others are small pseudo-hyperbolic offsets), plus a fourth satellite
 ``g x_h^(i) = x_{gh}^(i)``, so two encoded sets are conformally
 equivalent precisely when one subset is a group translate of the other.
 
-The decision procedure mirrors that rigidity argument and never reads
-provenance labels: anchors are found by the cluster profile (everything
-within eps/2 of an anchor is its own satellite family), the labeled
-triple (base, first satellite, second satellite) forces its assignment
-into a candidate cluster through distinct pairwise distances, the
-three-point interpolation problem produces the only automorphism that
-could work, and the verdict accepts exactly when that automorphism maps
-the core window of one configuration onto points of the other in both
-directions and is realized by a word of the allowed length.  Verdicts
-are therefore statements about the supplied windows, recorded in the
+The decision procedure never reads provenance labels.  By rigidity, the
+labeled triple (base, first satellite, second satellite) and a cluster
+fix at most one automorphism, and it counts only when a word of the
+allowed length realizes it, so each candidate word is tested with its
+own map, taken from its matrix.  A candidate is accepted when its map
+sends every core point of one configuration (every point within eps/2 of
+a core word's anchor) within pseudo-hyperbolic distance delta/2 of a
+point of the other, and its inverse does the same the other way.  delta/2
+lies far below the distances within a cluster, and rho, unlike a
+Euclidean tolerance, does not shrink as points crowd the boundary.
+Every candidate maps the base points of the core onto base points, so
+the candidates are screened on the core's third satellites before the
+survivors are checked on the whole core.  The first accepted word in
+canonical order is the witness, and its matrix gives the witness map.
+Verdicts are statements about the supplied windows, recorded in the
 verdict metadata.
 
 The word window comes from the package's one breadth-first expansion
@@ -25,9 +30,9 @@ The word window comes from the package's one breadth-first expansion
 distance lookups go through one index: the points sorted by real part,
 queried in batches for the points within a Euclidean radius of given
 centres.  Pseudo-hyperbolic balls are Euclidean discs, so the cluster
-queries (isolation, clusters, core reconstruction) use the same index
-and decide each candidate with the exact rho expression; each anchor is
-checked against its near neighbours only.
+queries (isolation, core reconstruction, mapped core points) use the
+same index and decide each candidate with the exact rho expression; each
+anchor is checked against its near neighbours only.
 
 Every configuration built from one set of params shares its base: the
 anchor and first two satellites of each window word.  The base's labels,
@@ -54,21 +59,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fuchsian import GAMMA3, GroupPreset, Word, enumerate_words
-from .fuchsian import _eval_points, _row_words, _spheres  # the package's one word BFS
+from .fuchsian import GAMMA3, GroupPreset, Word
+from .fuchsian import _coefficients, _eval_points, _row_words, _spheres  # one word BFS
 from .hypgeo import (
     _DISTINCT_GAP,
     _pseudo_hyperbolic,
-    DegenerateConfigurationError,
     DiscAutomorphism,
-    DiscPreservationError,
     Mat2,
-    RigidityMatchError,
     moebius_from_matrix,
-    moebius_through_three_points,
     phi_a,
     rho,
-    triple_rigidity_match,
 )
 
 __all__ = [
@@ -82,7 +82,6 @@ __all__ = [
     "geometric_equivalence",
 ]
 
-_REALIZATION_SAMPLES = (0j, 0.37 - 0.21j, -0.12 + 0.44j)
 # Index searches widen their slabs by a few ulps of a disc coordinate, and
 # the disc of a rho-ball by a relative margin far above rho's rounding
 # error; the exact distance test then decides.
@@ -388,11 +387,6 @@ class _SortedIndex:
         keep = _pseudo_hyperbolic(centres[ci], self.points[k]) < r
         return ci[keep], k[keep]
 
-    def covers(self, values: np.ndarray, tol: float) -> bool:
-        """Whether every value lies within ``tol`` of some point."""
-        ci, _ = self.near(values, tol)
-        return bool(np.all(np.bincount(ci, minlength=values.shape[0])))
-
 
 def _isolation_counts(
     lookup: _SortedIndex, owner: np.ndarray, anchors: np.ndarray, half: float
@@ -470,7 +464,7 @@ def word_search_equivalence(
             window=window,
             search_length=search_length,
         )
-    for g in enumerate_words(search_length):
+    for g in _reference(params).words[: 2 * 3**search_length - 1]:
         if frozenset(g * w for w in a) == b:
             return EquivalenceVerdict(
                 equivalent=True,
@@ -490,30 +484,33 @@ def word_search_equivalence(
     )
 
 
-def _apply_map(f: DiscAutomorphism, values: np.ndarray) -> np.ndarray:
-    return (f.alpha * values + f.beta) / (
-        np.conj(f.beta) * values + np.conj(f.alpha)
-    )
-
-
-def _core_values(
-    lookup: _SortedIndex,
-    core_words: int,
-    families: tuple,
-    eps: float,
-    tol: float,
-) -> np.ndarray:
+def _core_values(lookup: _SortedIndex, anchors: np.ndarray, params: EncodingParams) -> tuple:
     """Label-free reconstruction of the points living on the core window.
 
-    A point is core when it matches a family-0..2 reference value of a
-    core word, or when it is the leftover member of a core anchor's
-    cluster (necessarily that word's third satellite).
+    The core points are those within eps/2 of a core anchor; the third
+    satellites among them are those whose distance to their anchor is
+    within delta/2 of the distance from base to third satellite.  Returns
+    (core points, third satellites).
     """
-    ref012 = np.concatenate([families[fam][:core_words] for fam in range(3)])
+    ci, k = lookup.within_rho(anchors, params.eps / 2.0)
+    to_third = rho(params.base, params.satellites[2])
+    gap = _pseudo_hyperbolic(anchors[ci], lookup.points[k]) - to_third
     core = np.zeros(lookup.points.shape[0], dtype=bool)
-    core[lookup.near(ref012, tol)[1]] = True
-    core[lookup.within_rho(families[0][:core_words], eps / 2.0)[1]] = True
-    return lookup.points[core]
+    third = np.zeros_like(core)
+    core[k] = True
+    third[k[np.abs(gap) < params.delta / 2.0]] = True
+    return lookup.points[core], lookup.points[third]
+
+
+def _maps_onto(
+    alpha: np.ndarray, beta: np.ndarray, values: np.ndarray, lookup: _SortedIndex, r: float
+) -> np.ndarray:
+    """Per map (alpha, beta), whether it sends every value within rho < r of a point."""
+    images = (alpha[:, None] * values + beta[:, None]) / (
+        np.conj(beta)[:, None] * values + np.conj(alpha)[:, None]
+    )
+    ci, _ = lookup.within_rho(images.reshape(-1), r)
+    return np.all(np.bincount(ci, minlength=images.size).reshape(images.shape) > 0, axis=1)
 
 
 def geometric_equivalence(
@@ -521,77 +518,51 @@ def geometric_equivalence(
     config_q: Configuration,
     params: EncodingParams,
     search_length: int,
-    tol: float = 1e-8,
-    map_tol: float = 1e-9,
 ) -> EquivalenceVerdict:
     """Label-free conformal equivalence of two encoded configurations.
 
-    For each candidate word ``g`` up to ``search_length`` (canonical
-    order), the anchor cluster of ``g`` in Q is located by its distance
-    profile, the reference triple is rigidly matched into it, the unique
-    interpolating automorphism is solved, checked to be realized by
-    ``g``, and accepted only when it maps every core point of P onto a
-    point of Q and its inverse maps every core point of Q onto a point
-    of P (both within ``tol``).  The first surviving candidate is the
-    witness.
+    Each candidate word ``g`` up to ``search_length`` is tested with its
+    own map: ``g`` is accepted when its map sends every core point of P
+    within pseudo-hyperbolic distance ``delta/2`` of a point of Q, and
+    its inverse sends every core point of Q within ``delta/2`` of a
+    point of P.  Only word maps need testing, because an automorphism
+    that fits the clusters counts only when a word of the allowed length
+    realizes it, and then it is that word's map.  The candidates are
+    screened on the core's third satellites first; the survivors are
+    checked on every core point.  The first accepted word in canonical
+    order is the witness, and ``moebius_from_matrix`` of its matrix the
+    witness map.
     """
     if config_p.params != params or config_q.params != params:
         raise ValueError("both configurations must be built from the given params")
     window = params.window
     if not 0 <= search_length <= window:
         raise ValueError("search_length must lie between 0 and the window length")
-    core_len = window - search_length
     ref = _reference(params)
-    words, mats, families = ref.words, ref.mats, ref.families
     # the window's words come in canonical length order
-    n_candidates = 2 * 3**search_length - 1
-    core_words = 2 * 3**core_len - 1
-
-    triple = (params.base, params.satellites[0], params.satellites[1])
+    mats = ref.mats[: 2 * 3**search_length - 1]
+    anchors = ref.families[0][: 2 * 3 ** (window - search_length) - 1]
     index_q = _SortedIndex(config_q.points)
     index_p = _SortedIndex(config_p.points)
-    core_p = _core_values(index_p, core_words, families, params.eps, tol)
-    core_q = _core_values(index_q, core_words, families, params.eps, tol)
-    q = config_q.points
-    anchor_refs = families[0][:n_candidates]
-    ref_of, near_ref = index_q.near(anchor_refs, tol)
+    core_p, third_p = _core_values(index_p, anchors, params)
+    core_q, third_q = _core_values(index_q, anchors, params)
+    r = params.delta / 2.0
 
-    for gi in range(n_candidates):
-        hits = near_ref[ref_of == gi]
-        if hits.size == 0:
-            continue
-        anchor = q[hits[np.argmin(np.abs(q[hits] - anchor_refs[gi]))]]
-        _, members = index_q.within_rho(np.array([anchor]), params.eps / 2.0)
-        cluster = q[np.sort(members)]
-        if cluster.shape[0] not in (3, 4):
-            continue
-        try:
-            sigma = triple_rigidity_match(
-                triple,
-                tuple(complex(c) for c in cluster),
-                delta=params.delta / 2.0,
-                tol=tol,
-            )
-            f = moebius_through_three_points(
-                triple, tuple(complex(cluster[s]) for s in sigma)
-            )
-        except (DegenerateConfigurationError, RigidityMatchError, DiscPreservationError, ValueError):
-            continue
-        entries = tuple(int(x) for x in mats[gi].reshape(-1))
-        realized = moebius_from_matrix(Mat2(*entries))
-        if any(
-            abs(f(zs) - realized(zs)) > map_tol for zs in _REALIZATION_SAMPLES
-        ):
-            continue
-        if not index_q.covers(_apply_map(f, core_p), tol):
-            continue
-        if not index_p.covers(_apply_map(f.inverse(), core_q), tol):
-            continue
+    def accepted(alpha, beta, values_p, values_q):
+        return _maps_onto(alpha, beta, values_p, index_q, r) & _maps_onto(
+            np.conj(alpha), -beta, values_q, index_p, r
+        )
+
+    alpha, beta = _coefficients(mats)
+    survivors = np.flatnonzero(accepted(alpha, beta, third_p, third_q))
+    survivors = survivors[accepted(alpha[survivors], beta[survivors], core_p, core_q)]
+    if survivors.size:
+        gi = int(survivors[0])
         return EquivalenceVerdict(
             equivalent=True,
             mode="geometric",
-            witness_word=words[gi],
-            witness_map=f,
+            witness_word=ref.words[gi],
+            witness_map=moebius_from_matrix(Mat2(*(int(x) for x in mats[gi].reshape(-1)))),
             window=window,
             search_length=search_length,
         )

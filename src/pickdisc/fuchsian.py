@@ -242,14 +242,18 @@ def _generator_arrays(preset: GroupPreset) -> dict:
     }
 
 
-def _eval_points(mats: np.ndarray, z: complex) -> tuple:
-    """Disc images and stable 1 - |image| for a batch of integer matrices."""
+def _coefficients(mats: np.ndarray) -> tuple:
+    """Twice the (alpha, beta) of `moebius_from_matrix`, for a batch of integer matrices."""
     a = mats[:, 0, 0].astype(np.float64)
     b = mats[:, 0, 1].astype(np.float64)
     c = mats[:, 1, 0].astype(np.float64)
     d = mats[:, 1, 1].astype(np.float64)
-    alpha = -(a + d) + 1j * (c - b)
-    beta = -(a - d) + 1j * (b + c)
+    return -(a + d) + 1j * (c - b), -(a - d) + 1j * (b + c)
+
+
+def _eval_points(mats: np.ndarray, z: complex) -> tuple:
+    """Disc images and stable 1 - |image| for a batch of integer matrices."""
+    alpha, beta = _coefficients(mats)
     num = alpha * z + beta
     den = np.conj(beta) * z + np.conj(alpha)
     w = num / den

@@ -8,16 +8,15 @@ oracle (all-pairs distances, no point index) pins the indexed lookups.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from pickdisc.encode import (
-    _REALIZATION_SAMPLES,
     Configuration,
     EncodingError,
     EncodingParams,
-    _apply_map,
     build_configuration,
     geometric_equivalence,
     make_params,
@@ -31,16 +30,7 @@ from pickdisc.fuchsian import (
     enumerate_words,
     word_to_matrix,
 )
-from pickdisc.hypgeo import (
-    DegenerateConfigurationError,
-    DiscPreservationError,
-    Mat2,
-    RigidityMatchError,
-    moebius_from_matrix,
-    moebius_through_three_points,
-    rho,
-    triple_rigidity_match,
-)
+from pickdisc.hypgeo import Mat2, moebius_from_matrix, phi_a, rho
 
 PARAMS = make_params()  # entry-3 preset, window 4, base 0
 
@@ -292,7 +282,7 @@ def test_verdict_serialization():
 #
 # The oracle below decides everything by brute force: matrices word by
 # word, isolation from all anchor-to-point distances, distinctness by a
-# sweep, core values and lookups by a minimum over every point.  The
+# sweep, core values and mapped core points by rho to every point.  The
 # indexed package must reproduce its points, labels, errors, verdicts
 # and witnesses exactly.
 
@@ -342,50 +332,35 @@ def _oracle_build(subset, params):
     return pts, tuple(labels)
 
 
-def _oracle_core(pts, core_words, families, eps, tol):
-    ref012 = np.concatenate([families[fam][:core_words] for fam in range(3)])
-    matched = np.array([np.min(np.abs(ref012 - p)) <= tol for p in pts])
+def _oracle_core(pts, core_words, families, eps):
     in_cluster = _oracle_rho(families[0][:core_words], pts) < eps / 2.0
-    return pts[matched | in_cluster.any(axis=0)]
+    return pts[in_cluster.any(axis=0)]
 
 
-def _oracle_contains_all(pts, values, tol):
-    return all(np.min(np.abs(pts - v)) <= tol for v in values)
+def _oracle_maps_onto(f, values, pts, r):
+    """Whether f sends every value within rho < r of a point, in chunks of all pairs."""
+    images = np.array([f(z) for z in values], dtype=complex)
+    return all(
+        (_oracle_rho(images[start : start + 256], pts) < r).any(axis=1).all()
+        for start in range(0, images.shape[0], 256)
+    )
 
 
-def _oracle_geometric(p_pts, q_pts, params, search_length, tol=1e-8, map_tol=1e-9):
+def _oracle_geometric(p_pts, q_pts, params, search_length):
     """(equivalent, witness word, witness (alpha, beta))."""
     words, families = _oracle_reference(params)
-    n_candidates = sum(1 for w in words if len(w) <= search_length)
     core_words = sum(1 for w in words if len(w) <= params.window - search_length)
-    triple = (params.base, params.satellites[0], params.satellites[1])
-    core_p = _oracle_core(p_pts, core_words, families, params.eps, tol)
-    core_q = _oracle_core(q_pts, core_words, families, params.eps, tol)
-    for gi in range(n_candidates):
-        gap = np.abs(q_pts - families[0][gi])
-        if gap.min() > tol:
-            continue
-        anchor = q_pts[np.argmin(gap)]
-        cluster = q_pts[_oracle_rho(np.array([anchor]), q_pts)[0] < params.eps / 2.0]
-        if cluster.shape[0] not in (3, 4):
-            continue
-        try:
-            sigma = triple_rigidity_match(
-                triple, tuple(complex(c) for c in cluster), delta=params.delta / 2.0, tol=tol
-            )
-            f = moebius_through_three_points(triple, tuple(complex(cluster[s]) for s in sigma))
-        except (
-            DegenerateConfigurationError, RigidityMatchError, DiscPreservationError, ValueError
+    core_p = _oracle_core(p_pts, core_words, families, params.eps)
+    core_q = _oracle_core(q_pts, core_words, families, params.eps)
+    r = params.delta / 2.0
+    for w in words:
+        if len(w) > search_length:
+            break
+        f = moebius_from_matrix(word_to_matrix(w, params.preset))
+        if _oracle_maps_onto(f, core_p, q_pts, r) and _oracle_maps_onto(
+            f.inverse(), core_q, p_pts, r
         ):
-            continue
-        realized = moebius_from_matrix(word_to_matrix(words[gi], params.preset))
-        if any(abs(f(z) - realized(z)) > map_tol for z in _REALIZATION_SAMPLES):
-            continue
-        if not _oracle_contains_all(q_pts, _apply_map(f, core_p), tol):
-            continue
-        if not _oracle_contains_all(p_pts, _apply_map(f.inverse(), core_q), tol):
-            continue
-        return True, words[gi], (f.alpha, f.beta)
+            return True, w, (f.alpha, f.beta)
     return False, None, None
 
 
@@ -400,7 +375,7 @@ def _agree_with_oracle(set_a, set_b, params, search_length):
     witness_map = verdict.witness_map and (verdict.witness_map.alpha, verdict.witness_map.beta)
     expected = _oracle_geometric(config_a.points, config_b.points, params, search_length)
     assert (verdict.equivalent, verdict.witness_word, witness_map) == expected
-    return verdict.equivalent
+    return verdict
 
 
 @pytest.mark.parametrize("window, pairs", [(4, 8), (6, 1)])
@@ -419,16 +394,90 @@ def test_index_matches_the_brute_force_oracle(window, pairs):
         set_b = [g * w for w in set_a]
         if trial % 2:  # swap one word, so no translate is expected
             set_b = set_b[1:] + [core[rng.integers(len(core))]]
-        outcomes.add(_agree_with_oracle(set_a, set_b, params, s))
+        outcomes.add(_agree_with_oracle(set_a, set_b, params, s).equivalent)
     assert outcomes == {True, False}
 
 
 def test_index_matches_the_oracle_at_the_core_tolerance():
-    # mapped core points of this translate land about 1.1e-8 from their
-    # images, just beyond the 1e-8 core tolerance
+    # a three-point solve put mapped core points of this translate about
+    # 1.1e-8 from their images, beyond a Euclidean 1e-8; the word's own map
+    # puts them far inside delta/2 in rho
     params = make_params(GAMMA3, window=6, base=-0.28601639248689914 + 0.010024145884642448j)
     set_a = [W("e"), W("b"), W("ba")]
-    assert not _agree_with_oracle(set_a, [W("ba") * w for w in set_a], params, 2)
+    verdict = _agree_with_oracle(set_a, [W("ba") * w for w in set_a], params, 2)
+    assert verdict.equivalent and verdict.witness_word == W("ba")
+
+
+def test_a_moved_base_point_rejects_the_translate():
+    # in built configurations only the third satellites tell candidates
+    # apart; the check of every core point still rejects a translate whose
+    # image of a first satellite was moved by 3e-3 in rho
+    config_a = build_configuration([W("e"), W("a")], PARAMS)
+    config_b = build_configuration([W("b"), W("ba")], PARAMS)
+    assert geometric_equivalence(config_a, config_b, PARAMS, 2).witness_word == W("b")
+    points = np.array(config_b.points)
+    k = config_b.labels.index(("b", 1))
+    points[k] = phi_a(points[k], 3e-3)
+    moved = Configuration(points=points, labels=config_b.labels, params=PARAMS)
+    assert not geometric_equivalence(config_a, moved, PARAMS, 2).equivalent
+    assert _oracle_geometric(config_a.points, points, PARAMS, 2) == (False, None, None)
+
+
+@pytest.mark.parametrize(
+    "base, search_length, subset, translators",
+    [
+        (0j, 3, ("e",), [w for w in enumerate_words(3) if len(w) == 3]),
+        (-0.28601639248689914 + 0.010024145884642448j, 2, ("e", "b", "ba"), [W("ba")]),
+    ],
+    ids=["base-0-all-length-3", "off-centre-ba"],
+)
+def test_translates_that_a_three_point_solve_missed(base, search_length, subset, translators):
+    # the solved maps of 11 of these words at base 0 were rejected by an
+    # absolute 1e-9 coefficient check, and the off-centre translate by the
+    # Euclidean core check
+    params = make_params(GAMMA3, window=6, base=base)
+    set_a = [W(text) for text in subset]
+    config_a = build_configuration(set_a, params)
+    for g in translators:
+        config_b = build_configuration([g * w for w in set_a], params)
+        verdict = geometric_equivalence(config_a, config_b, params, search_length)
+        assert verdict.equivalent and verdict.witness_word == g, g
+
+
+def test_geometric_agrees_with_word_search_at_windows_6_to_9():
+    """Seeded bases, subsets of 1 to 3 core words, 60% of pairs translates."""
+    rng = random.Random(11)
+    # (window, search lengths, params, pairs per params): the first build
+    # per params costs 0.1 to 0.5 s at windows 8 and 9
+    for window, lengths, n_params, pairs in (
+        (6, (2, 3, 4), 3, 15),
+        (7, (3, 4), 2, 10),
+        (8, (3, 4), 1, 10),
+        (9, (4,), 1, 8),
+    ):
+        words = enumerate_words(window)
+        for _ in range(n_params):
+            base = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+            params = make_params(GAMMA3, window=window, base=base)
+            outcomes = set()
+            for trial in range(pairs):
+                s = lengths[trial % len(lengths)]
+                core = [w for w in words if len(w) <= window - s]
+                set_a = rng.sample(core, rng.randint(1, 3))
+                g = rng.choice([w for w in words if len(w) <= s])
+                set_b = [g * w for w in set_a]
+                if rng.random() >= 0.6:  # swap one word, usually no translate
+                    set_b = set_b[1:] + [rng.choice(core)]
+                geo = geometric_equivalence(
+                    build_configuration(set_a, params), build_configuration(set_b, params),
+                    params, s,
+                )
+                ws = word_search_equivalence(set_a, set_b, params, s)
+                assert (geo.equivalent, geo.witness_word) == (ws.equivalent, ws.witness_word), (
+                    window, base, s, set_a, set_b,
+                )
+                outcomes.add(geo.equivalent)
+            assert outcomes == {True, False}
 
 
 def _hand_built(**changes):

@@ -250,7 +250,7 @@ def test_three_point_rejects_metric_distortion():
 def test_three_point_accepts_long_words_at_the_encoding_triple():
     # words of length 3 have coefficients of modulus 15 to 40, so the
     # disc-preservation residuals must be judged relative to that scale
-    from pickdisc.encode import _REALIZATION_SAMPLES, make_params
+    from pickdisc.encode import make_params
     from pickdisc.fuchsian import GAMMA3, enumerate_words, word_to_matrix
 
     params = make_params(GAMMA3, window=6)
@@ -260,7 +260,7 @@ def test_three_point_accepts_long_words_at_the_encoding_triple():
     for w in words:
         f = moebius_from_matrix(word_to_matrix(w, GAMMA3))
         g = moebius_through_three_points(triple, tuple(f(z) for z in triple))
-        for z in _REALIZATION_SAMPLES:
+        for z in (0j, 0.37 - 0.21j, -0.12 + 0.44j):
             assert abs(g(z) - f(z)) <= 1e-9, w
 
 
