@@ -167,13 +167,6 @@ def _kernel_from_args(args) -> CoefficientSequence:
     raise UsageError("a kernel is required: pass --a, --b, or --kernel")
 
 
-def _preset_from_args(args):
-    name = args.preset
-    if name not in PRESETS:
-        raise UsageError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name]
-
-
 def _cmd_coeffs(args) -> int:
     exact = args.exact
     if (args.from_a is None) == (args.from_b is None):
@@ -253,7 +246,7 @@ def _orbit_csv(table) -> str:
 
 
 def _cmd_orbit(args) -> int:
-    preset = _preset_from_args(args)
+    preset = PRESETS[args.preset]
     z = _parse_complex(args.z)
     table = orbit_points(z, args.max_length, preset=preset, store_limit=args.store)
     if args.format == "csv":
@@ -289,7 +282,7 @@ def _blaschke_csv(table) -> str:
 
 
 def _cmd_blaschke(args) -> int:
-    preset = _preset_from_args(args)
+    preset = PRESETS[args.preset]
     z = _parse_complex(args.z)
     table = orbit_points(z, args.max_length, preset=preset, store_limit=0)
     if args.format == "csv":
@@ -305,7 +298,7 @@ def _cmd_blaschke(args) -> int:
 
 
 def _cmd_separation(args) -> int:
-    preset = _preset_from_args(args)
+    preset = PRESETS[args.preset]
     z = _parse_complex(args.z)
     sep = separation_estimate(z, args.max_length, preset=preset)
     _emit(
@@ -327,7 +320,7 @@ def _params_payload(params) -> dict:
 
 
 def _cmd_encode_build(args) -> int:
-    preset = _preset_from_args(args)
+    preset = PRESETS[args.preset]
     params = make_params(preset=preset, window=args.window, base=_parse_complex(args.base))
     subset = _parse_words(args.subset)
     config = build_configuration(subset, params)
@@ -355,7 +348,7 @@ def _cmd_encode_build(args) -> int:
 
 
 def _cmd_encode_test(args) -> int:
-    preset = _preset_from_args(args)
+    preset = PRESETS[args.preset]
     params = make_params(preset=preset, window=args.window, base=_parse_complex(args.base))
     subset_a = _parse_words(args.subset_a)
     subset_b = _parse_words(args.subset_b)

@@ -12,18 +12,20 @@ The decision procedure never reads provenance labels.  By rigidity, the
 labeled triple (base, first satellite, second satellite) and a cluster
 fix at most one automorphism, and it counts only when a word of the
 allowed length realizes it, so each candidate word is tested with its
-own map, taken from its matrix.  A candidate is accepted when its map
-sends every core point of one configuration (every point within eps/2 of
-a core word's anchor) within pseudo-hyperbolic distance delta/2 of a
-point of the other, and its inverse does the same the other way.  delta/2
-lies far below the distances within a cluster, and rho, unlike a
-Euclidean tolerance, does not shrink as points crowd the boundary.
-Every candidate maps the base points of the core onto base points, so
-the candidates are screened on the core's third satellites before the
-survivors are checked on the whole core.  The first accepted word in
-canonical order is the witness, and its matrix gives the witness map.
-Verdicts are statements about the supplied windows, recorded in the
-verdict metadata.
+own map, taken from its matrix.  Configurations with different point
+counts are not equivalent: the count is label-free, and it is what
+excludes third satellites outside the core, on which no map is checked.
+Otherwise a candidate is accepted when its map sends every core point of
+one configuration (every point within eps/2 of a core word's anchor)
+within pseudo-hyperbolic distance delta/2 of a point of the other, and
+its inverse does the same the other way.  delta/2 lies far below the
+distances within a cluster, and rho, unlike a Euclidean tolerance, does
+not shrink as points crowd the boundary.  Every candidate maps the base
+points of the core onto base points, so the candidates are screened on
+the core's third satellites before the survivors are checked on the
+whole core.  The first accepted word in canonical order is the witness,
+and its matrix gives the witness map.  Verdicts are statements about
+the supplied windows, recorded in the verdict metadata.
 
 The word window comes from the package's one breadth-first expansion
 (`fuchsian`), which gives every word's matrix and letters at once.  All
@@ -531,13 +533,26 @@ def geometric_equivalence(
     screened on the core's third satellites first; the survivors are
     checked on every core point.  The first accepted word in canonical
     order is the witness, and ``moebius_from_matrix`` of its matrix the
-    witness map.
+    witness map.  Configurations with different point counts are
+    rejected first, as word search rejects subsets of different sizes:
+    the maps only check core points, and equal counts are what rule out
+    extra third satellites outside the core.
     """
     if config_p.params != params or config_q.params != params:
         raise ValueError("both configurations must be built from the given params")
     window = params.window
     if not 0 <= search_length <= window:
         raise ValueError("search_length must lie between 0 and the window length")
+    not_equivalent = EquivalenceVerdict(
+        equivalent=False,
+        mode="geometric",
+        witness_word=None,
+        witness_map=None,
+        window=window,
+        search_length=search_length,
+    )
+    if len(config_p) != len(config_q):
+        return not_equivalent
     ref = _reference(params)
     # the window's words come in canonical length order
     mats = ref.mats[: 2 * 3**search_length - 1]
@@ -566,11 +581,4 @@ def geometric_equivalence(
             window=window,
             search_length=search_length,
         )
-    return EquivalenceVerdict(
-        equivalent=False,
-        mode="geometric",
-        witness_word=None,
-        witness_map=None,
-        window=window,
-        search_length=search_length,
-    )
+    return not_equivalent

@@ -20,8 +20,11 @@ One breadth-first expansion of the word tree, vectorized per sphere
 with int64 matrices and int8 letter rows, serves every caller:
 `enumerate_words` turns its letter rows into `Word` objects,
 `orbit_points` evaluates its matrices, and the encoding layer takes
-both for its word window.  Widths are checked before each
-multiplication and overflow raises instead of wrapping.  Orbit points
+both for its word window.  The expansion indexes letters by rank: each
+word's last letter picks its three children from a rank table, and a
+sphere is grown with one multiply per child slot against the generator
+stack.  Widths are checked before each multiplication and overflow
+raises instead of wrapping.  Orbit points
 are produced by conjugating the half-plane action to the disc, and
 ``1 - |point|`` is computed from the identity
 ``|den|^2 - |num|^2 = (|alpha|^2 - |beta|^2)(1 - |z|^2)``, which avoids
@@ -63,8 +66,9 @@ _ALPHABET = (1, -1, 2, -2)  # rank order: a < A < b < B
 _RANK = {letter: rank for rank, letter in enumerate(_ALPHABET)}
 _LETTER_CHARS = {1: "a", -1: "A", 2: "b", -2: "B"}
 _CHAR_LETTERS = {ch: letter for letter, ch in _LETTER_CHARS.items()}
-# Letters allowed after a final letter t (everything but its inverse), rank order.
-_CHILD_TABLE = {t: tuple(l for l in _ALPHABET if l != -t) for t in _ALPHABET}
+_LETTER_CODES = np.array(_ALPHABET, dtype=np.int8)
+# Ranks allowed after a final letter of rank r: all but its inverse, rank r ^ 1.
+_CHILD_RANKS = np.array([[c for c in range(4) if c != r ^ 1] for r in range(4)], dtype=np.int8)
 
 _INT64_GUARD = 2**60  # the largest entry ever multiplied, whatever the generators
 _BOUNDARY_GUARD = 1e-15  # orbit points must keep 1 - |point| above this
@@ -235,13 +239,6 @@ class OrbitTable:
                 yield word.to_string(), level.length, complex(pt), float(om)
 
 
-def _generator_arrays(preset: GroupPreset) -> dict:
-    return {
-        letter: np.array(preset.matrix_for(letter).entries(), dtype=np.int64).reshape(2, 2)
-        for letter in _ALPHABET
-    }
-
-
 def _coefficients(mats: np.ndarray) -> tuple:
     """Twice the (alpha, beta) of `moebius_from_matrix`, for a batch of integer matrices."""
     a = mats[:, 0, 0].astype(np.float64)
@@ -278,65 +275,48 @@ def _row_words(rows: np.ndarray) -> list:
     return words
 
 
-def _next_level(mats: np.ndarray, last: np.ndarray, gens: dict) -> tuple:
-    """Children of a sphere in parent-major, letter-rank order."""
-    # a child entry m[i,0] g[0,j] + m[i,1] g[1,j] is at most the parent's
-    # peak times the largest absolute column sum of a letter matrix (over
-    # the four letters, inverses of each other, also the largest row sum)
-    col_sum = max(int(np.abs(g).sum(axis=0).max()) for g in gens.values())
-    peak = int(np.max(np.abs(mats)))
-    if peak > min(_INT64_GUARD, np.iinfo(np.int64).max // col_sum):
-        raise OverflowError(
-            f"matrix entries reached {peak}; the vectorized path would overflow int64"
-        )
-    n = mats.shape[0]
-    child_letters = np.empty((n, 3), dtype=np.int8)
-    for t in _ALPHABET:
-        mask = last == t
-        if mask.any():
-            child_letters[mask] = np.array(_CHILD_TABLE[t], dtype=np.int8)
-    child_mats = np.empty((3 * n, 2, 2), dtype=np.int64)
-    base_idx = 3 * np.arange(n)
-    for j in range(3):
-        col = child_letters[:, j]
-        for t in _ALPHABET:
-            mask = col == t
-            if mask.any():
-                idx = np.nonzero(mask)[0]
-                child_mats[base_idx[idx] + j] = mats[idx] @ gens[t]
-    return child_mats, child_letters.reshape(-1)
-
-
 def _spheres(preset: GroupPreset, max_length: int, letters_up_to: int) -> Iterator[tuple]:
     """The word tree breadth first: ``(length, matrices, letter rows)`` per sphere.
 
     This is the package's one letter expansion.  Each sphere's words
     come in canonical order as int64 matrices and as an int8 array of
     letter rows; spheres longer than ``letters_up_to`` give ``None``
-    for the rows.
+    for the rows.  A word's last letter is kept as its rank, and
+    ``_CHILD_RANKS`` gives the three ranks that may follow it, so each
+    later sphere takes one multiply per child slot, parent by the
+    generator of that slot, written parent-major into one array.
+    Before each multiply the parents' largest entry is checked against
+    a bound under which no child entry can overflow int64.
     """
-    gens = _generator_arrays(preset)
-    mats = np.array([np.eye(2, dtype=np.int64)])
-    last = np.zeros(1, dtype=np.int8)  # sentinel: identity has no final letter
-    history = np.empty((1, 0), dtype=np.int8)
-    yield 0, mats, history if letters_up_to >= 0 else None
+    gens = np.array(
+        [preset.matrix_for(letter).entries() for letter in _ALPHABET], dtype=np.int64
+    ).reshape(4, 2, 2)
+    # a child entry m[i,0] g[0,j] + m[i,1] g[1,j] is at most the parent's
+    # peak times the largest absolute column sum of a letter matrix
+    limit = min(_INT64_GUARD, np.iinfo(np.int64).max // int(np.abs(gens).sum(axis=1).max()))
+    mats = np.eye(2, dtype=np.int64)[None]
+    rows = np.empty((1, 0), dtype=np.int8)
+    yield 0, mats, rows if letters_up_to >= 0 else None
     for length in range(1, max_length + 1):
         if length == 1:
-            mats = np.stack([gens[t] for t in _ALPHABET])
-            last = np.array(_ALPHABET, dtype=np.int8)
+            mats, last = gens, np.arange(4, dtype=np.int8)
         else:
-            mats, last = _next_level(mats, last, gens)
-        expected = 4 * 3 ** (length - 1)
-        if mats.shape[0] != expected:
-            raise RuntimeError(f"sphere {length} has {mats.shape[0]} words, expected {expected}")
+            peak = int(np.abs(mats).max())
+            if peak > limit:
+                raise OverflowError(
+                    f"matrix entries reached {peak}; the vectorized path would overflow int64"
+                )
+            children = _CHILD_RANKS[last]
+            out = np.empty((mats.shape[0], 3, 2, 2), dtype=np.int64)
+            for j in range(3):
+                np.matmul(mats, gens[children[:, j]], out=out[:, j])
+            mats, last = out.reshape(-1, 2, 2), children.reshape(-1)
         if length <= letters_up_to:
-            history = np.concatenate(
-                [np.repeat(history, mats.shape[0] // history.shape[0], axis=0), last[:, None]],
-                axis=1,
-            )
+            parents = np.repeat(rows, mats.shape[0] // rows.shape[0], axis=0)
+            rows = np.concatenate([parents, _LETTER_CODES[last][:, None]], axis=1)
         else:
-            history = None
-        yield length, mats, history
+            rows = None
+        yield length, mats, rows
 
 
 def orbit_points(

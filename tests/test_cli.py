@@ -393,6 +393,9 @@ def test_argparse_usage_failures(capsys):
         main(["no-such-command"])
     assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
+        main(["orbit", "--L", "2", "--preset", "NO_SUCH_PRESET"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
     out = capsys.readouterr().out

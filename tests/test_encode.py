@@ -480,6 +480,24 @@ def test_geometric_agrees_with_word_search_at_windows_6_to_9():
             assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize(
+    "subset_a, subset_b",
+    [(("e",), ("e", "aaaa")), (("e",), ("a", "aaaa")), ((), ("aaaa",))],
+    ids=["e-vs-e-aaaa", "e-vs-a-aaaa", "empty-vs-aaaa"],
+)
+def test_configurations_of_different_sizes_are_not_equivalent(subset_a, subset_b):
+    # aaaa lies outside the core at search length 1, so no map is checked
+    # on its third satellite; only the point count tells the pairs apart
+    set_a = [W(text) for text in subset_a]
+    set_b = [W(text) for text in subset_b]
+    geo = geometric_equivalence(
+        build_configuration(set_a, PARAMS), build_configuration(set_b, PARAMS), PARAMS, 1
+    )
+    ws = word_search_equivalence(set_a, set_b, PARAMS, 1)
+    assert not geo.equivalent and geo.witness_word is None
+    assert not ws.equivalent
+
+
 def _hand_built(**changes):
     small = make_params(window=2)
     fields = dict(

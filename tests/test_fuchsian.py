@@ -229,14 +229,32 @@ def test_iter_rows_agrees_with_scalar_evaluation():
         assert om == pytest.approx(1.0 - abs(pt), abs=1e-12)
 
 
-def test_next_level_guards_against_int64_overflow():
-    from pickdisc.fuchsian import _generator_arrays, _next_level
+def test_spheres_guard_against_int64_overflow():
+    # sphere 1 holds the entry 2**61, above the guard, so sphere 2 must
+    # raise before anything is multiplied
+    from pickdisc.fuchsian import _spheres
 
-    gens = _generator_arrays(GAMMA3)
-    mats = np.array([[[2**61, 0], [0, 1]]], dtype=np.int64)
-    last = np.array([1], dtype=np.int8)
+    huge = GroupPreset("HUGE", Mat2(1, 2**61, 0, 1), Mat2(1, 0, 1, 1))
+    spheres = _spheres(huge, 2, 2)
+    assert [length for length, _, _ in itertools.islice(spheres, 2)] == [0, 1]
     with pytest.raises(OverflowError):
-        _next_level(mats, last, gens)
+        next(spheres)
+
+
+@pytest.mark.parametrize("preset", [GAMMA3, LAMBDA2], ids=lambda p: p.name)
+@pytest.mark.parametrize("letters_up_to", [-1, 3, 6])
+def test_spheres_match_exact_matrices_and_words(preset, letters_up_to):
+    from pickdisc.fuchsian import _row_words, _spheres
+
+    words = enumerate_words(6)
+    for length, mats, rows in _spheres(preset, 6, letters_up_to):
+        sphere = [w for w in words if len(w) == length]
+        exact = [list(word_to_matrix(w, preset).entries()) for w in sphere]
+        assert mats.dtype == np.int64 and mats.reshape(-1, 4).tolist() == exact
+        if length > letters_up_to:
+            assert rows is None
+        else:
+            assert rows.dtype == np.int8 and _row_words(rows) == sphere
 
 
 def test_spheres_raise_before_large_generators_wrap_int64():
