@@ -12,9 +12,12 @@ The decision procedure never reads provenance labels.  By rigidity, the
 labeled triple (base, first satellite, second satellite) and a cluster
 fix at most one automorphism, and it counts only when a word of the
 allowed length realizes it, so each candidate word is tested with its
-own map, taken from its matrix.  Configurations with different point
-counts are not equivalent: the count is label-free, and it is what
-excludes third satellites outside the core, on which no map is checked.
+own map, taken from its matrix.  No map is checked on points outside
+the core, so, as in word search, a pair is refused when neither subset
+fits the core: on both sides the core holds fewer third satellites than
+the points beyond the base.  Configurations with different point counts
+are not equivalent: the count is label-free, and it is what excludes
+third satellites outside the core.
 Otherwise a candidate is accepted when its map sends every core point of
 one configuration (every point within eps/2 of a core word's anchor)
 within pseudo-hyperbolic distance delta/2 of a point of the other, and
@@ -28,7 +31,11 @@ and its matrix gives the witness map.  Verdicts are statements about
 the supplied windows, recorded in the verdict metadata.
 
 The word window comes from the package's one breadth-first expansion
-(`fuchsian`), which gives every word's matrix and letters at once.  All
+(`fuchsian`), which gives every word's matrix and letter row at once;
+the window is kept as those arrays.  `fuchsian` also owns the canonical
+order: a subset word's place in the window comes from `_position`, and
+the labels from the letter rows, so `Word` objects are made only for
+search candidates and witnesses.  All
 distance lookups go through one index: the points sorted by real part,
 queried in batches for the points within a Euclidean radius of given
 centres.  Pseudo-hyperbolic balls are Euclidean discs, so the cluster
@@ -56,13 +63,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .fuchsian import GAMMA3, GroupPreset, Word
-from .fuchsian import _coefficients, _eval_points, _row_words, _spheres  # one word BFS
+from .fuchsian import _coefficients, _eval_points, _position, _row_strings, _row_words, _spheres
 from .hypgeo import (
     _DISTINCT_GAP,
     _pseudo_hyperbolic,
@@ -235,7 +242,9 @@ class EquivalenceVerdict:
         return {
             "equivalent": self.equivalent,
             "mode": self.mode,
-            "witness_word": self.witness_word.to_string() if self.witness_word else None,
+            "witness_word": (
+                self.witness_word.to_string() if self.witness_word is not None else None
+            ),
             "witness_map": (
                 {
                     "alpha": [self.witness_map.alpha.real, self.witness_map.alpha.imag],
@@ -253,16 +262,16 @@ class EquivalenceVerdict:
 class _Reference(NamedTuple):
     """What every configuration built from one params shares.
 
-    The base of a configuration is the anchor and the first two
-    satellites of every window word; only the third satellites depend on
-    the subset.  The base's isolation counts and distinctness are
-    checked here once, so a build checks only its subset's points.
+    The window is held as arrays in canonical word order: the letter
+    rows and matrices of `fuchsian._spheres`, and the four family values
+    of each word.  The base of a configuration is the anchor and the
+    first two satellites of every window word; only the third satellites
+    depend on the subset.  The base's isolation counts and distinctness
+    are checked here once, so a build checks only its subset's points.
     """
 
-    words: tuple
+    rows: tuple  # int8 letter rows, one array per sphere
     mats: np.ndarray
-    families: tuple  # one value array per family, in word order
-    index: dict  # word -> position in the window
     grid: np.ndarray  # words x families, the four values of each word
     labels: tuple  # (word string, family) for every grid entry, word-major
     base: "_SortedIndex"
@@ -273,28 +282,18 @@ class _Reference(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _reference(params: EncodingParams) -> _Reference:
-    """Canonical words of the window with matrices, family values and the base checks."""
-    words, mats = [], []
-    for _, sphere, rows in _spheres(params.preset, params.window, params.window):
-        words.extend(_row_words(rows))
-        mats.append(sphere)
+    """The window's letter rows, matrices and family values, and the base checks."""
+    _, mats, rows = zip(*_spheres(params.preset, params.window, params.window))
     mats = np.concatenate(mats)
-    families = []
-    for x in params.quadruple():
-        vals, _ = _eval_points(mats, complex(x))
-        vals.setflags(write=False)
-        families.append(vals)
-    grid = np.stack(families, axis=1)
+    grid = np.stack([_eval_points(mats, complex(x))[0] for x in params.quadruple()], axis=1)
     grid.setflags(write=False)
-    labels = tuple((text, fam) for text in map(Word.to_string, words) for fam in range(4))
+    labels = tuple(product([text for r in rows for text in _row_strings(r)], range(4)))
     base = _SortedIndex(grid[:, :3].reshape(-1))
-    owner = np.repeat(np.arange(len(words)), 3)
-    hits, foreign = _isolation_counts(base, owner, families[0], params.eps / 2.0)
+    owner = np.repeat(np.arange(grid.shape[0]), 3)
+    hits, foreign = _isolation_counts(base, owner, grid[:, 0], params.eps / 2.0)
     return _Reference(
-        words=tuple(words),
+        rows=rows,
         mats=mats,
-        families=tuple(families),
-        index={w: i for i, w in enumerate(words)},
         grid=grid,
         labels=labels,
         base=base,
@@ -331,11 +330,11 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     """
     subset_set = _check_subset(subset, params.window)
     ref = _reference(params)
-    new = np.fromiter((ref.index[w] for w in subset_set), dtype=np.intp, count=len(subset_set))
+    new = np.fromiter(map(_position, subset_set), dtype=np.intp, count=len(subset_set))
     present = np.ones(ref.grid.shape, dtype=bool)  # word i carries family j
     present[:, 3] = False
     present[new, 3] = True
-    added = _SortedIndex(ref.families[3][new])
+    added = _SortedIndex(ref.grid[new, 3])
     _check_isolation(ref, added, new, params.eps)
     _check_distinct(ref, added)
     return Configuration(
@@ -411,7 +410,7 @@ def _check_isolation(ref: _Reference, added: _SortedIndex, owner: np.ndarray, ep
     """Each anchor's rho-ball of radius eps/2 holds its own points and no others."""
     hits, foreign = ref.hits, ref.foreign
     if owner.size:
-        more_hits, more_foreign = _isolation_counts(added, owner, ref.families[0], eps / 2.0)
+        more_hits, more_foreign = _isolation_counts(added, owner, ref.grid[:, 0], eps / 2.0)
         hits, foreign = hits + more_hits, foreign + more_foreign
     failed = np.flatnonzero((hits == 0) | (foreign > 0))
     if failed.size:
@@ -453,37 +452,31 @@ def word_search_equivalence(
     max_a = max((len(w) for w in a), default=0)
     max_b = max((len(w) for w in b), default=0)
     if min(max_a, max_b) > window - search_length:
-        raise ValueError(
-            "at least one subset must fit the core window "
-            f"(length <= {window - search_length})"
-        )
-    if len(a) != len(b):
-        return EquivalenceVerdict(
-            equivalent=False,
-            mode="word-search",
-            witness_word=None,
-            witness_map=None,
-            window=window,
-            search_length=search_length,
-        )
-    for g in _reference(params).words[: 2 * 3**search_length - 1]:
-        if frozenset(g * w for w in a) == b:
-            return EquivalenceVerdict(
-                equivalent=True,
-                mode="word-search",
-                witness_word=g,
-                witness_map=None,
-                window=window,
-                search_length=search_length,
-            )
+        raise _outside_core(window, search_length)
+    witness = None
+    if len(a) == len(b):
+        candidates = _candidates(_reference(params), search_length)
+        witness = next((g for g in candidates if frozenset(g * w for w in a) == b), None)
     return EquivalenceVerdict(
-        equivalent=False,
+        equivalent=witness is not None,
         mode="word-search",
-        witness_word=None,
+        witness_word=witness,
         witness_map=None,
         window=window,
         search_length=search_length,
     )
+
+
+def _outside_core(window: int, search_length: int) -> ValueError:
+    """The error of both procedures when neither subset fits the core window."""
+    return ValueError(
+        f"at least one subset must fit the core window (length <= {window - search_length})"
+    )
+
+
+def _candidates(ref: _Reference, search_length: int) -> list:
+    """The words of length <= ``search_length``, in canonical order."""
+    return [g for rows in ref.rows[: search_length + 1] for g in _row_words(rows)]
 
 
 def _core_values(lookup: _SortedIndex, anchors: np.ndarray, params: EncodingParams) -> tuple:
@@ -533,9 +526,12 @@ def geometric_equivalence(
     screened on the core's third satellites first; the survivors are
     checked on every core point.  The first accepted word in canonical
     order is the witness, and ``moebius_from_matrix`` of its matrix the
-    witness map.  Configurations with different point counts are
-    rejected first, as word search rejects subsets of different sizes:
-    the maps only check core points, and equal counts are what rule out
+    witness map.  As in word search, a pair is refused when neither
+    subset fits the core window: the maps only check core points, so
+    each configuration's subset size (its points beyond the base) is
+    compared with its third satellites in the core.  Configurations with
+    different point counts are then not equivalent, as word search
+    rejects subsets of different sizes: equal counts are what rule out
     extra third satellites outside the core.
     """
     if config_p.params != params or config_q.params != params:
@@ -543,24 +539,17 @@ def geometric_equivalence(
     window = params.window
     if not 0 <= search_length <= window:
         raise ValueError("search_length must lie between 0 and the window length")
-    not_equivalent = EquivalenceVerdict(
-        equivalent=False,
-        mode="geometric",
-        witness_word=None,
-        witness_map=None,
-        window=window,
-        search_length=search_length,
-    )
-    if len(config_p) != len(config_q):
-        return not_equivalent
     ref = _reference(params)
     # the window's words come in canonical length order
     mats = ref.mats[: 2 * 3**search_length - 1]
-    anchors = ref.families[0][: 2 * 3 ** (window - search_length) - 1]
+    anchors = ref.grid[: 2 * 3 ** (window - search_length) - 1, 0]
     index_q = _SortedIndex(config_q.points)
     index_p = _SortedIndex(config_p.points)
     core_p, third_p = _core_values(index_p, anchors, params)
     core_q, third_q = _core_values(index_q, anchors, params)
+    base_size = 3 * ref.grid.shape[0]
+    if third_p.size < len(config_p) - base_size and third_q.size < len(config_q) - base_size:
+        raise _outside_core(window, search_length)
     r = params.delta / 2.0
 
     def accepted(alpha, beta, values_p, values_q):
@@ -568,17 +557,20 @@ def geometric_equivalence(
             np.conj(alpha), -beta, values_q, index_p, r
         )
 
-    alpha, beta = _coefficients(mats)
-    survivors = np.flatnonzero(accepted(alpha, beta, third_p, third_q))
-    survivors = survivors[accepted(alpha[survivors], beta[survivors], core_p, core_q)]
-    if survivors.size:
-        gi = int(survivors[0])
-        return EquivalenceVerdict(
-            equivalent=True,
-            mode="geometric",
-            witness_word=ref.words[gi],
-            witness_map=moebius_from_matrix(Mat2(*(int(x) for x in mats[gi].reshape(-1)))),
-            window=window,
-            search_length=search_length,
-        )
-    return not_equivalent
+    witness, witness_map = None, None
+    if len(config_p) == len(config_q):
+        alpha, beta = _coefficients(mats)
+        survivors = np.flatnonzero(accepted(alpha, beta, third_p, third_q))
+        survivors = survivors[accepted(alpha[survivors], beta[survivors], core_p, core_q)]
+        if survivors.size:
+            gi = int(survivors[0])
+            witness = _candidates(ref, search_length)[gi]
+            witness_map = moebius_from_matrix(Mat2(*(int(x) for x in mats[gi].reshape(-1))))
+    return EquivalenceVerdict(
+        equivalent=witness is not None,
+        mode="geometric",
+        witness_word=witness,
+        witness_map=witness_map,
+        window=window,
+        search_length=search_length,
+    )

@@ -19,8 +19,12 @@ enumeration.
 One breadth-first expansion of the word tree, vectorized per sphere
 with int64 matrices and int8 letter rows, serves every caller:
 `enumerate_words` turns its letter rows into `Word` objects,
-`orbit_points` evaluates its matrices, and the encoding layer takes
-both for its word window.  The expansion indexes letters by rank: each
+`orbit_points` evaluates its matrices, and the encoding layer keeps
+both for its word window, as arrays.  A word's place in that order has
+a closed form (`_position`), and a sphere's word strings are built from
+its letter rows in one step (`_row_strings`), so the encoding layer
+makes `Word` objects only for the words it returns or searches.
+The expansion indexes letters by rank: each
 word's last letter picks its three children from a rank table, and a
 sphere is grown with one multiply per child slot against the generator
 stack.  Widths are checked before each multiplication and overflow
@@ -67,6 +71,7 @@ _RANK = {letter: rank for rank, letter in enumerate(_ALPHABET)}
 _LETTER_CHARS = {1: "a", -1: "A", 2: "b", -2: "B"}
 _CHAR_LETTERS = {ch: letter for letter, ch in _LETTER_CHARS.items()}
 _LETTER_CODES = np.array(_ALPHABET, dtype=np.int8)
+_CODE_CHARS = np.frombuffer(b"BA?ab", dtype=np.uint8)  # ASCII letter at code + 2
 # Ranks allowed after a final letter of rank r: all but its inverse, rank r ^ 1.
 _CHILD_RANKS = np.array([[c for c in range(4) if c != r ^ 1] for r in range(4)], dtype=np.int8)
 
@@ -235,8 +240,8 @@ class OrbitTable:
         for level in self.levels:
             if level.letters is None or level.points is None:
                 continue
-            for word, pt, om in zip(self.words_at(level.length), level.points, level.one_minus):
-                yield word.to_string(), level.length, complex(pt), float(om)
+            for text, pt, om in zip(_row_strings(level.letters), level.points, level.one_minus):
+                yield text, level.length, complex(pt), float(om)
 
 
 def _coefficients(mats: np.ndarray) -> tuple:
@@ -273,6 +278,31 @@ def _row_words(rows: np.ndarray) -> list:
         object.__setattr__(word, "letters", tuple(row))
         words.append(word)
     return words
+
+
+def _row_strings(rows: np.ndarray) -> list:
+    """The strings of the words in int8 letter rows, as ``Word.to_string`` gives them."""
+    if rows.shape[1] == 0:
+        return ["e"] * rows.shape[0]
+    chars = _CODE_CHARS[rows + 2]  # one byte per letter, rows stay C-ordered
+    return chars.view(f"S{rows.shape[1]}").ravel().astype(str).tolist()
+
+
+def _position(word: Word) -> int:
+    """Index of a word in the canonical order of `enumerate_words`.
+
+    The ``2 * 3**(L-1) - 1`` words shorter than ``L = len(word)`` come
+    first.  `_spheres` writes children parent-major, so within its sphere
+    a word sits at its first rank followed by the `_CHILD_RANKS` slot of
+    each later letter, read as base-3 digits.
+    """
+    ranks = [_RANK[letter] for letter in word.letters]
+    if not ranks:
+        return 0
+    pos = ranks[0]
+    for prev, rank in zip(ranks, ranks[1:]):
+        pos = 3 * pos + rank - (rank > (prev ^ 1))  # the slot skips the inverse rank
+    return 2 * 3 ** (len(ranks) - 1) - 1 + pos
 
 
 def _spheres(preset: GroupPreset, max_length: int, letters_up_to: int) -> Iterator[tuple]:

@@ -9,9 +9,12 @@ oracle (all-pairs distances, no point index) pins the indexed lookups.
 
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pickdisc.encode import (
     Configuration,
@@ -270,6 +273,9 @@ def test_verdict_serialization():
     assert payload["window"] == 4
     assert "window" in payload["note"]
 
+    for identity in (_both([W("e")], [W("e")], 1), word_search_equivalence([], [], PARAMS, 1)):
+        assert identity.as_dict()["witness_word"] == "e"
+
     miss = word_search_equivalence([W("e")], [W("b")], PARAMS, 0)
     assert not miss.equivalent
     assert miss.as_dict()["witness_word"] is None
@@ -496,6 +502,65 @@ def test_configurations_of_different_sizes_are_not_equivalent(subset_a, subset_b
     ws = word_search_equivalence(set_a, set_b, PARAMS, 1)
     assert not geo.equivalent and geo.witness_word is None
     assert not ws.equivalent
+
+
+@pytest.mark.parametrize(
+    "window, search_length, subset_a, subset_b",
+    [(4, 1, "aaaa", "bbbb"), (3, 3, "BAb", "bAb")],
+    ids=["aaaa-vs-bbbb", "BAb-vs-bAb"],
+)
+def test_both_modes_refuse_subsets_outside_the_core(window, search_length, subset_a, subset_b):
+    # neither subset has a third satellite in the core, so no map checks
+    # either subset; only the refusal keeps geometric from accepting e
+    params = make_params(window=window)
+    set_a, set_b = [W(subset_a)], [W(subset_b)]
+    config_a = build_configuration(set_a, params)
+    config_b = build_configuration(set_b, params)
+    with pytest.raises(ValueError, match="core window"):
+        word_search_equivalence(set_a, set_b, params, search_length)
+    with pytest.raises(ValueError, match="core window"):
+        geometric_equivalence(config_a, config_b, params, search_length)
+
+
+@lru_cache(maxsize=None)
+def _small_params(window, base):
+    return make_params(GAMMA3, window=window, base=base)
+
+
+@st.composite
+def _small_window_pairs(draw):
+    """Subsets of the whole window at w = 3 to 5, empty and unequal sizes included."""
+    window = draw(st.integers(3, 5))
+    search_length = draw(st.integers(0, window))
+    words = enumerate_words(window)
+    set_a = draw(st.lists(st.sampled_from(words), max_size=3, unique=True))
+    if draw(st.booleans()):
+        # a translate, less the images that leave the window
+        g = draw(st.sampled_from(words[: 2 * 3**search_length - 1]))
+        set_b = [w for w in (g * v for v in set_a) if len(w) <= window]
+    else:
+        set_b = draw(st.lists(st.sampled_from(words), max_size=3, unique=True))
+    base = draw(st.sampled_from([0j, 0.13 - 0.21j]))
+    return _small_params(window, base), search_length, set_a, set_b
+
+
+def _outcome(decide):
+    try:
+        verdict = decide()
+    except ValueError as exc:
+        return str(exc)
+    return verdict.equivalent, verdict.witness_word
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_window_pairs())
+def test_geometric_agrees_with_word_search_on_small_windows(pair):
+    params, search_length, set_a, set_b = pair
+    config_a = build_configuration(set_a, params)
+    config_b = build_configuration(set_b, params)
+    geo = _outcome(lambda: geometric_equivalence(config_a, config_b, params, search_length))
+    ws = _outcome(lambda: word_search_equivalence(set_a, set_b, params, search_length))
+    assert geo == ws
 
 
 def _hand_built(**changes):

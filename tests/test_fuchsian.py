@@ -244,9 +244,10 @@ def test_spheres_guard_against_int64_overflow():
 @pytest.mark.parametrize("preset", [GAMMA3, LAMBDA2], ids=lambda p: p.name)
 @pytest.mark.parametrize("letters_up_to", [-1, 3, 6])
 def test_spheres_match_exact_matrices_and_words(preset, letters_up_to):
-    from pickdisc.fuchsian import _row_words, _spheres
+    from pickdisc.fuchsian import _position, _row_strings, _row_words, _spheres
 
     words = enumerate_words(6)
+    assert all(_position(w) == i for i, w in enumerate(words))
     for length, mats, rows in _spheres(preset, 6, letters_up_to):
         sphere = [w for w in words if len(w) == length]
         exact = [list(word_to_matrix(w, preset).entries()) for w in sphere]
@@ -255,6 +256,7 @@ def test_spheres_match_exact_matrices_and_words(preset, letters_up_to):
             assert rows is None
         else:
             assert rows.dtype == np.int8 and _row_words(rows) == sphere
+            assert _row_strings(rows) == [w.to_string() for w in _row_words(rows)]
 
 
 def test_spheres_raise_before_large_generators_wrap_int64():
