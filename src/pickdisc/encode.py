@@ -32,10 +32,11 @@ the supplied windows, recorded in the verdict metadata.
 
 The word window comes from the package's one breadth-first expansion
 (`fuchsian`), which gives every word's matrix and letter row at once;
-the window is kept as those arrays.  `fuchsian` also owns the canonical
+the window is kept as arrays.  `fuchsian` also owns the canonical
 order: a subset word's place in the window comes from `_position`, and
 the labels from the letter rows, so `Word` objects are made only for
-search candidates and witnesses.  All
+search candidates and witnesses.  Word search expands letter rows only
+up to its search length, so it never builds the encoded window.  All
 distance lookups go through one index: the points sorted by real part,
 queried in batches for the points within a Euclidean radius of given
 centres.  Pseudo-hyperbolic balls are Euclidean discs, so the cluster
@@ -262,15 +263,15 @@ class EquivalenceVerdict:
 class _Reference(NamedTuple):
     """What every configuration built from one params shares.
 
-    The window is held as arrays in canonical word order: the letter
-    rows and matrices of `fuchsian._spheres`, and the four family values
-    of each word.  The base of a configuration is the anchor and the
-    first two satellites of every window word; only the third satellites
-    depend on the subset.  The base's isolation counts and distinctness
-    are checked here once, so a build checks only its subset's points.
+    The window is held as arrays in canonical word order: the matrices
+    of `fuchsian._spheres` and the four family values of each word, with
+    the labels read off its letter rows.  The base of a configuration is
+    the anchor and the first two satellites of every window word; only
+    the third satellites depend on the subset.  The base's isolation
+    counts and distinctness are checked here once, so a build checks
+    only its subset's points.
     """
 
-    rows: tuple  # int8 letter rows, one array per sphere
     mats: np.ndarray
     grid: np.ndarray  # words x families, the four values of each word
     labels: tuple  # (word string, family) for every grid entry, word-major
@@ -282,7 +283,7 @@ class _Reference(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _reference(params: EncodingParams) -> _Reference:
-    """The window's letter rows, matrices and family values, and the base checks."""
+    """The window's matrices, family values and labels, and the base checks."""
     _, mats, rows = zip(*_spheres(params.preset, params.window, params.window))
     mats = np.concatenate(mats)
     grid = np.stack([_eval_points(mats, complex(x))[0] for x in params.quadruple()], axis=1)
@@ -292,7 +293,6 @@ def _reference(params: EncodingParams) -> _Reference:
     owner = np.repeat(np.arange(grid.shape[0]), 3)
     hits, foreign = _isolation_counts(base, owner, grid[:, 0], params.eps / 2.0)
     return _Reference(
-        rows=rows,
         mats=mats,
         grid=grid,
         labels=labels,
@@ -455,7 +455,7 @@ def word_search_equivalence(
         raise _outside_core(window, search_length)
     witness = None
     if len(a) == len(b):
-        candidates = _candidates(_reference(params), search_length)
+        candidates = _candidates(params.preset, search_length)
         witness = next((g for g in candidates if frozenset(g * w for w in a) == b), None)
     return EquivalenceVerdict(
         equivalent=witness is not None,
@@ -474,9 +474,15 @@ def _outside_core(window: int, search_length: int) -> ValueError:
     )
 
 
-def _candidates(ref: _Reference, search_length: int) -> list:
-    """The words of length <= ``search_length``, in canonical order."""
-    return [g for rows in ref.rows[: search_length + 1] for g in _row_words(rows)]
+@lru_cache(maxsize=32)
+def _candidates(preset: GroupPreset, search_length: int) -> tuple:
+    """The words of length <= ``search_length``, in canonical order.
+
+    Only the letter rows up to ``search_length`` are expanded, so a word
+    search never builds the encoded window.
+    """
+    spheres = _spheres(preset, search_length, search_length)
+    return tuple(g for _, _, rows in spheres for g in _row_words(rows))
 
 
 def _core_values(lookup: _SortedIndex, anchors: np.ndarray, params: EncodingParams) -> tuple:
@@ -564,7 +570,7 @@ def geometric_equivalence(
         survivors = survivors[accepted(alpha[survivors], beta[survivors], core_p, core_q)]
         if survivors.size:
             gi = int(survivors[0])
-            witness = _candidates(ref, search_length)[gi]
+            witness = _candidates(params.preset, search_length)[gi]
             witness_map = moebius_from_matrix(Mat2(*(int(x) for x in mats[gi].reshape(-1))))
     return EquivalenceVerdict(
         equivalent=witness is not None,

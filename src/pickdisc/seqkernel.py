@@ -16,7 +16,10 @@ image of a ratio sequence, partial-sum discrepancies of cumulative
 products, membership diagnostics for the group of multipliers whose
 cumulative products are summably close to 1, and the finite-support
 scaling step that moves one ratio sequence onto another through small
-multiplicative corrections.
+multiplicative corrections.  Exact sequences run the recursion on
+integers over a growing common denominator; float `b_from_a` updates
+whole columns at a time but keeps the rounding order of the scalar
+loop, so its output is bit for bit that of the loop.
 
 Conventions
 -----------
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -139,6 +143,14 @@ class CoefficientSequence:
             raise ValueError(f"{name}[0] must equal 1, got {self.terms[0]!r}")
         if any(t <= 0 for t in self.terms):
             raise ValueError(f"{name} must have strictly positive terms")
+
+    @cached_property
+    def _float_kernel(self) -> tuple:
+        """Read-only float terms and the tail ratio bound; see `_kernel_terms`."""
+        terms = np.array(self.as_floats())
+        terms.setflags(write=False)
+        ratio_bound = max(1.0, float(np.max(terms[1:] / terms[:-1], initial=0.0)))
+        return terms, ratio_bound
 
 
 @dataclass(frozen=True)
@@ -238,12 +250,34 @@ class KernelValue:
         return abs(self.value)
 
 
-def _b_entry(b: CoefficientSequence, k: int):
-    """b_k with missing trailing entries read as zero (k is 1-based)."""
-    j = k - 1
-    if j < len(b.terms):
-        return b.terms[j]
-    return Fraction(0) if b.exact else 0.0
+def _exact_recursion(x: Sequence[Fraction], sign: int) -> list:
+    """``y_1 .. y_m`` with ``y_n = x_n + sign * sum_{k=1..n-1} y_k x_{n-k}``.
+
+    ``x`` holds ``x_1 .. x_m``.  Every ``x_j`` is put over one common
+    denominator ``D`` as an int ``X_j``, and the ``y_k`` found so far are
+    kept as int numerators ``P_k`` over one running denominator ``Q``,
+    the lcm of their denominators; when ``Q`` grows by a factor, every
+    ``P_k`` is multiplied by it.  Each step is then one integer dot
+    product and one reduced ``Fraction(X_n Q + sign * s, Q D)``, so the
+    output equals the ``Fraction`` recursion term for term.  (Scaling
+    by ``D**n`` instead would keep no denominators, but its integers
+    grow by about ``log2(D)`` bits per term.)
+    """
+    den = math.lcm(*(t.denominator for t in x))
+    ints = [0] + [t.numerator * (den // t.denominator) for t in x]
+    nums: list = []
+    q = 1
+    out = []
+    for n in range(1, len(ints)):
+        s = sum(map(int.__mul__, nums, ints[n - 1 : 0 : -1]))
+        y = Fraction(ints[n] * q + sign * s, q * den)
+        out.append(y)
+        grow = y.denominator // math.gcd(q, y.denominator)
+        if grow > 1:
+            nums = [p * grow for p in nums]
+            q *= grow
+        nums.append(y.numerator * (q // y.denominator))
+    return out
 
 
 def a_from_b(b: CoefficientSequence, n_terms: int) -> CoefficientSequence:
@@ -252,19 +286,25 @@ def a_from_b(b: CoefficientSequence, n_terms: int) -> CoefficientSequence:
     Returns ``a`` of length ``n_terms`` with ``a_0 = 1`` and
     ``a_n = sum_{k=1..n} b_k a_{n-k}``.  All ``b_k`` must be nonnegative;
     entries of ``b`` beyond its truncation count as zero.  Exactness of
-    ``b`` carries over to ``a``.
+    ``b`` carries over to ``a``: exact ``b`` runs the recursion on
+    integers over a growing common denominator (`_exact_recursion`),
+    float ``b`` a scalar loop in the order of the sum above.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     if any(t < 0 for t in b.terms):
         raise ValueError("b must have nonnegative terms")
-    one = Fraction(1) if b.exact else 1.0
-    a = [one]
-    for n in range(1, n_terms):
-        acc = Fraction(0) if b.exact else 0.0
-        for k in range(1, n + 1):
-            acc += _b_entry(b, k) * a[n - k]
-        a.append(acc)
+    zero = Fraction(0) if b.exact else 0.0
+    x = list(b.terms[: n_terms - 1]) + [zero] * (n_terms - 1 - len(b.terms))
+    if b.exact:
+        a = [Fraction(1)] + _exact_recursion(x, 1)
+    else:
+        a = [1.0]
+        for n in range(1, n_terms):
+            acc = 0.0
+            for k in range(1, n + 1):
+                acc += x[k - 1] * a[n - k]
+            a.append(acc)
     return CoefficientSequence(tuple(a), exact=b.exact)
 
 
@@ -275,18 +315,29 @@ def b_from_a(a: CoefficientSequence, n_terms: int | None = None) -> CoefficientS
     ``b_n = a_n - sum_{k=1..n-1} b_k a_{n-k}``.  Requires ``a_0 = 1`` and
     strictly positive terms.  Negative output entries are legitimate and
     reported as-is; they certify that ``a`` is not log-convex.
+
+    Exact ``a`` runs the recursion on integers over a growing common
+    denominator (`_exact_recursion`).  Float ``a`` subtracts one column
+    at a time, ``b_k a_{n-k}`` from every later ``b_n``: each entry gets
+    the same rounded products and differences, in the same ascending
+    ``k`` order, as the scalar loop, so the result is bit for bit the
+    same.  Terms that overflow raise the finiteness error of
+    `CoefficientSequence`.
     """
     a._require_kernel_head("a")
     if n_terms is None:
         n_terms = len(a.terms)
     if not 1 <= n_terms <= len(a.terms):
         raise ValueError("n_terms must be between 1 and len(a)")
-    b: list = []
-    for n in range(1, n_terms):
-        acc = a.terms[n]
-        for k in range(1, n):
-            acc -= b[k - 1] * a.terms[n - k]
-        b.append(acc)
+    if a.exact:
+        b = _exact_recursion(a.terms[1:n_terms], -1)
+    else:
+        x = np.array(a.terms[:n_terms])
+        acc = x[1:].copy()  # acc[n - 1] becomes b_n
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, n_terms - 1):
+                acc[k:] -= acc[k - 1] * x[1 : n_terms - k]
+        b = acc.tolist()
     if not b:
         # Length-1 input pins down no b entries; an empty container is not
         # representable, so emit the single implied zero.
@@ -353,11 +404,13 @@ def same_growth_report(
 
 
 def _kernel_terms(a: CoefficientSequence) -> tuple:
-    """Float terms of a kernel sequence and the ratio bound for its tail."""
+    """Float terms of a kernel sequence and the ratio bound for its tail.
+
+    The head is checked on every call; the conversion is made once per
+    sequence.
+    """
     a._require_kernel_head("a")
-    terms = np.array(a.as_floats())
-    ratio_bound = max(1.0, float(np.max(terms[1:] / terms[:-1], initial=0.0)))
-    return terms, ratio_bound
+    return a._float_kernel
 
 
 def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: float) -> tuple:

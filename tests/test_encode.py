@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pickdisc import encode
 from pickdisc.encode import (
     Configuration,
     EncodingError,
@@ -189,6 +190,17 @@ def test_word_search_window_rules():
         word_search_equivalence([W("aa")], [W("bb")], PARAMS, search_length=3)
     # one deep set is fine as long as the other fits the core
     assert word_search_equivalence([W("e")], [W("aaa")], PARAMS, 3).equivalent
+
+
+def test_word_search_does_not_build_the_encoded_window():
+    # building the window-10 encoding cold takes about half a second and
+    # 200 MB; word search needs only the words up to its search length
+    params = make_params(window=10)
+    before = encode._reference.cache_info()
+    verdict = word_search_equivalence([W("e")], [W("ab")], params, 2)
+    after = encode._reference.cache_info()
+    assert verdict.witness_word == W("ab")
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 # ---------------------------------------------------------------------------

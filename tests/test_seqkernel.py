@@ -2,11 +2,16 @@
 
 Oracle values are either worked out by hand (and frozen here) or come
 from closed forms: the geometric series for the all-ones sequence and
-the logarithmic series head for b = (1/2, 1/12, 1/24).
+the logarithmic series head for b = (1/2, 1/12, 1/24).  The a <-> b
+recursions are also held to plain loops kept here: the exact paths must
+equal the `Fraction` loop, and float `b_from_a` the scalar loop bit for
+bit.
 """
 
 import cmath
 import math
+import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -94,6 +99,93 @@ def test_exact_roundtrip_b_to_a_to_b(b_head, b_rest):
 def test_a_from_b_rejects_negative_terms():
     with pytest.raises(ValueError):
         a_from_b(CoefficientSequence.exact_rational([F(-1)]), 3)
+
+
+def _loop_b_from_a(a, n_terms):
+    """b_n = a_n - sum_{k<n} b_k a_{n-k}, one scalar (or Fraction) step at a time."""
+    b = []
+    for n in range(1, n_terms):
+        acc = a[n]
+        for k in range(1, n):
+            acc -= b[k - 1] * a[n - k]
+        b.append(acc)
+    return b
+
+
+def _loop_a_from_b(b, n_terms):
+    """a_n = sum_{k<=n} b_k a_{n-k} in Fractions, with b read as zero past its end."""
+    a = [F(1)]
+    for n in range(1, n_terms):
+        a.append(sum((b[k - 1] * a[n - k] for k in range(1, min(n, len(b)) + 1)), F(0)))
+    return a
+
+
+def _float_terms(kind, rng, n):
+    if kind == "log-convex":
+        ratios = RatioSequence([rng.uniform(0.6, 0.98) for _ in range(n - 1)])
+        return log_convex_from_ratios(ratios, n).terms
+    # independent terms are not log-convex, so some b_n come out negative
+    return (1.0,) + tuple(rng.uniform(0.05, 4.0) for _ in range(n - 1))
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("kind", ["log-convex", "not log-convex"])
+def test_float_b_from_a_is_bit_identical_to_the_scalar_loop(kind, seed):
+    rng = random.Random(f"{kind}:{seed}")
+    terms = _float_terms(kind, rng, rng.choice([2, 3, 17, 256]))
+    for n_terms in (None, rng.randint(1, len(terms))):
+        got = b_from_a(CoefficientSequence.floating(terms), n_terms).terms
+        expected = _loop_b_from_a(terms, n_terms or len(terms)) or [0.0]
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+    if kind == "not log-convex" and len(terms) > 3:
+        assert min(b_from_a(CoefficientSequence.floating(terms)).terms) < 0
+
+
+def test_float_b_from_a_overflow_is_the_finiteness_error():
+    terms = (1.0,) + (1e300,) * 8
+    expected = _loop_b_from_a(terms, len(terms))
+    assert not all(math.isfinite(x) for x in expected)
+    # the column update must neither warn nor hide the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sequence terms must be finite"):
+            b_from_a(CoefficientSequence.floating(terms))
+
+
+def _squared_rationals(n):
+    rng = random.Random(n)
+    return [F(1)] + [F(rng.randint(1, 999), rng.randint(1, 999)) ** 2 for _ in range(n - 1)]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [F(1, n + 1) for n in range(128)],
+        _squared_rationals(128),
+        [F(1), F(1, 2), F(2, 3)],
+        [F(1)],
+    ],
+    ids=["1/(n+1)", "squared rationals", "short", "length 1"],
+)
+def test_exact_b_from_a_equals_the_fraction_loop(terms):
+    a = CoefficientSequence.exact_rational(terms)
+    for n_terms in sorted({1, min(2, len(terms)), (len(terms) + 1) // 2, len(terms)}):
+        assert b_from_a(a, n_terms).terms == tuple(_loop_b_from_a(terms, n_terms) or [F(0)])
+
+
+@pytest.mark.parametrize(
+    "b_terms, n_terms",
+    [
+        ([F(1, n + 2) for n in range(127)], 128),
+        ([x / 4 for x in _squared_rationals(64)], 64),
+        ([F(1, 2), F(0), F(3, 7)], 40),  # b shorter than n_terms
+        ([F(3, 7)], 1),
+        ([F(3, 7)], 2),
+    ],
+)
+def test_exact_a_from_b_equals_the_fraction_loop(b_terms, n_terms):
+    a = a_from_b(CoefficientSequence.exact_rational(b_terms), n_terms)
+    assert a.terms == tuple(_loop_a_from_b(b_terms, n_terms))
 
 
 # ---------------------------------------------------------------------------
