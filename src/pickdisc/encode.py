@@ -69,10 +69,11 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fuchsian import GAMMA3, GroupPreset, Word
-from .fuchsian import _coefficients, _eval_points, _position, _row_strings, _row_words, _spheres
+from .fuchsian import GAMMA3, GroupPreset, Word, enumerate_words
+from .fuchsian import _coefficients, _position, _row_strings, _spheres
 from .hypgeo import (
     _DISTINCT_GAP,
+    _moebius,
     _pseudo_hyperbolic,
     DiscAutomorphism,
     Mat2,
@@ -276,8 +277,7 @@ class _Reference(NamedTuple):
     grid: np.ndarray  # words x families, the four values of each word
     labels: tuple  # (word string, family) for every grid entry, word-major
     base: "_SortedIndex"
-    hits: np.ndarray  # per anchor, base points with rho < eps/2
-    foreign: np.ndarray  # per anchor, such points of other words
+    foreign: np.ndarray  # per anchor, base points of other words with rho < eps/2
     coincide: bool  # whether two base points coincide
 
 
@@ -286,19 +286,18 @@ def _reference(params: EncodingParams) -> _Reference:
     """The window's matrices, family values and labels, and the base checks."""
     _, mats, rows = zip(*_spheres(params.preset, params.window, params.window))
     mats = np.concatenate(mats)
-    grid = np.stack([_eval_points(mats, complex(x))[0] for x in params.quadruple()], axis=1)
+    alpha, beta = _coefficients(mats)
+    grid = _moebius(alpha[:, None], beta[:, None], np.array(params.quadruple(), dtype=complex))
     grid.setflags(write=False)
     labels = tuple(product([text for r in rows for text in _row_strings(r)], range(4)))
     base = _SortedIndex(grid[:, :3].reshape(-1))
     owner = np.repeat(np.arange(grid.shape[0]), 3)
-    hits, foreign = _isolation_counts(base, owner, grid[:, 0], params.eps / 2.0)
     return _Reference(
         mats=mats,
         grid=grid,
         labels=labels,
         base=base,
-        hits=hits,
-        foreign=foreign,
+        foreign=_foreign_counts(base, owner, grid[:, 0], params.eps / 2.0),
         coincide=_coincident(base),
     )
 
@@ -389,30 +388,29 @@ class _SortedIndex:
         return ci[keep], k[keep]
 
 
-def _isolation_counts(
+def _foreign_counts(
     lookup: _SortedIndex, owner: np.ndarray, anchors: np.ndarray, half: float
-) -> tuple:
-    """Per anchor, the points with rho < half, and how many belong to another word."""
+) -> np.ndarray:
+    """Per anchor, the points with rho < half that belong to another word."""
     n_words = anchors.shape[0]
     if half >= 1.0:
         # every ball is the whole disc; counted rather than listing all
         # anchor-point pairs
-        hits = np.full(n_words, lookup.points.shape[0])
-        return hits, hits - np.bincount(owner, minlength=n_words)
+        return lookup.points.shape[0] - np.bincount(owner, minlength=n_words)
     ci, k = lookup.within_rho(anchors, half)
-    return (
-        np.bincount(ci, minlength=n_words),
-        np.bincount(ci[owner[k] != ci], minlength=n_words),
-    )
+    return np.bincount(ci[owner[k] != ci], minlength=n_words)
 
 
 def _check_isolation(ref: _Reference, added: _SortedIndex, owner: np.ndarray, eps: float) -> None:
-    """Each anchor's rho-ball of radius eps/2 holds its own points and no others."""
-    hits, foreign = ref.hits, ref.foreign
+    """Each anchor's rho-ball of radius eps/2 holds its own points and no others.
+
+    A ball of positive radius holds at least its anchor; with ``eps <= 0``
+    every ball is empty and every anchor fails.
+    """
+    foreign = ref.foreign
     if owner.size:
-        more_hits, more_foreign = _isolation_counts(added, owner, ref.grid[:, 0], eps / 2.0)
-        hits, foreign = hits + more_hits, foreign + more_foreign
-    failed = np.flatnonzero((hits == 0) | (foreign > 0))
+        foreign = foreign + _foreign_counts(added, owner, ref.grid[:, 0], eps / 2.0)
+    failed = np.flatnonzero((foreign > 0) | (not eps > 0))
     if failed.size:
         raise EncodingError(
             "cluster isolation failed near word index "
@@ -455,7 +453,7 @@ def word_search_equivalence(
         raise _outside_core(window, search_length)
     witness = None
     if len(a) == len(b):
-        candidates = _candidates(params.preset, search_length)
+        candidates = _candidates(search_length)
         witness = next((g for g in candidates if frozenset(g * w for w in a) == b), None)
     return EquivalenceVerdict(
         equivalent=witness is not None,
@@ -475,14 +473,13 @@ def _outside_core(window: int, search_length: int) -> ValueError:
 
 
 @lru_cache(maxsize=32)
-def _candidates(preset: GroupPreset, search_length: int) -> tuple:
+def _candidates(search_length: int) -> tuple:
     """The words of length <= ``search_length``, in canonical order.
 
-    Only the letter rows up to ``search_length`` are expanded, so a word
-    search never builds the encoded window.
+    The words are the same under every preset, and a word search never
+    builds the encoded window for them.
     """
-    spheres = _spheres(preset, search_length, search_length)
-    return tuple(g for _, _, rows in spheres for g in _row_words(rows))
+    return tuple(enumerate_words(search_length))
 
 
 def _core_values(lookup: _SortedIndex, anchors: np.ndarray, params: EncodingParams) -> tuple:
@@ -507,9 +504,7 @@ def _maps_onto(
     alpha: np.ndarray, beta: np.ndarray, values: np.ndarray, lookup: _SortedIndex, r: float
 ) -> np.ndarray:
     """Per map (alpha, beta), whether it sends every value within rho < r of a point."""
-    images = (alpha[:, None] * values + beta[:, None]) / (
-        np.conj(beta)[:, None] * values + np.conj(alpha)[:, None]
-    )
+    images = _moebius(alpha[:, None], beta[:, None], values)
     ci, _ = lookup.within_rho(images.reshape(-1), r)
     return np.all(np.bincount(ci, minlength=images.size).reshape(images.shape) > 0, axis=1)
 
@@ -570,7 +565,7 @@ def geometric_equivalence(
         survivors = survivors[accepted(alpha[survivors], beta[survivors], core_p, core_q)]
         if survivors.size:
             gi = int(survivors[0])
-            witness = _candidates(params.preset, search_length)[gi]
+            witness = _candidates(search_length)[gi]
             witness_map = moebius_from_matrix(Mat2(*(int(x) for x in mats[gi].reshape(-1))))
     return EquivalenceVerdict(
         equivalent=witness is not None,

@@ -22,11 +22,9 @@ with ``P_a`` the projection onto span{a}, ``Q_a = I - P_a`` and
 ``s_a = sqrt(1 - |a|^2)``.  The pseudo-hyperbolic distance is
 ``rho(a, b) = |phi_a(b)|``; it is invariant under all automorphisms.
 
-`moebius_through_three_points` solves the three-point interpolation
-problem on the Riemann sphere by composing cross-ratio maps as exact
-2x2 complex matrices (no intermediate point evaluation, hence no
-infinities to special-case) and then tests whether the solution
-preserves the disc.  `triple_rigidity_match` implements the rigidity
+`moebius_through_three_points` composes ``phi_{dst0}``, a rotation and
+``phi_{src0}`` and accepts the map when it hits every destination within
+a tolerance in rho.  `triple_rigidity_match` implements the rigidity
 fact that three labeled points with pairwise-distinct distances match
 into a candidate set with all-distinct distances in at most one way.
 """
@@ -36,8 +34,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from numbers import Integral
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,15 +58,15 @@ _DISTINCT_GAP = 1e-12
 
 
 class DiscPreservationError(ValueError):
-    """The sphere map through the requested points does not preserve the disc.
+    """No disc automorphism takes the source triple onto the destination triple.
 
-    Carries the (determinant-normalized) sphere-map coefficients in
-    ``coefficients`` for diagnostics.
+    Carries in ``residual`` the largest pseudo-hyperbolic distance from
+    an image of the candidate map to its destination.
     """
 
-    def __init__(self, message: str, coefficients: tuple):
+    def __init__(self, message: str, residual: float):
         super().__init__(message)
-        self.coefficients = coefficients
+        self.residual = residual
 
 
 class DegenerateConfigurationError(ValueError):
@@ -154,8 +153,7 @@ class DiscAutomorphism:
         return cls(1.0 + 0j, 0j)
 
     def __call__(self, z: complex) -> complex:
-        z = complex(z)
-        return (self.alpha * z + self.beta) / (self.beta.conjugate() * z + self.alpha.conjugate())
+        return _moebius(self.alpha, self.beta, complex(z))
 
     def compose(self, other: "DiscAutomorphism") -> "DiscAutomorphism":
         """The automorphism applying ``other`` first, then ``self``."""
@@ -170,16 +168,18 @@ class DiscAutomorphism:
         return DiscAutomorphism(self.alpha.conjugate(), -self.beta)
 
     def almost_equal(self, other: "DiscAutomorphism", tol: float = 1e-9) -> bool:
-        """Parameter closeness, relative to the larger coefficient scale.
+        """Parameter closeness up to the projective sign, relative to the coefficient scale.
 
-        Long compositions have coefficients far above 1, where a fixed
-        absolute tolerance would reject mere roundoff; near the identity
-        the scale floor keeps the comparison absolute.
+        The normal form flips sign at ``Re(alpha) = 0``, so ``other`` is
+        tried with both signs.  Long compositions have coefficients far
+        above 1, where a fixed absolute tolerance would reject mere
+        roundoff; near the identity the scale floor keeps it absolute.
         """
         scale = max(1.0, abs(self.alpha), abs(self.beta), abs(other.alpha), abs(other.beta))
-        return (
-            abs(self.alpha - other.alpha) <= tol * scale
-            and abs(self.beta - other.beta) <= tol * scale
+        return any(
+            abs(self.alpha - sign * other.alpha) <= tol * scale
+            and abs(self.beta - sign * other.beta) <= tol * scale
+            for sign in (1, -1)
         )
 
 
@@ -217,6 +217,15 @@ def phi_a(a, z):
     proj = (inner / norm_a_sq) * av
     s_a = math.sqrt(1.0 - norm_a_sq)
     return (av - proj - s_a * (zv - proj)) / (1.0 - inner)
+
+
+def _moebius(alpha, beta, z):
+    """``(alpha z + beta) / (conj(beta) z + conj(alpha))``, unchecked.
+
+    As in `_pseudo_hyperbolic`, Python complex scalars stay in Python
+    arithmetic and numpy arrays broadcast.
+    """
+    return (alpha * z + beta) / (beta.conjugate() * z + alpha.conjugate())
 
 
 def _pseudo_hyperbolic(a, b):
@@ -266,14 +275,6 @@ def moebius_from_matrix(m: Mat2) -> DiscAutomorphism:
     return DiscAutomorphism(alpha, beta)
 
 
-def _to_zero_one_inf(p: complex, q: complex, r: complex) -> np.ndarray:
-    """Matrix of the sphere map sending (p, q, r) to (0, 1, infinity)."""
-    return np.array(
-        [[q - r, -p * (q - r)], [q - p, -r * (q - p)]],
-        dtype=complex,
-    )
-
-
 def moebius_through_three_points(
     src: Sequence[complex],
     dst: Sequence[complex],
@@ -281,14 +282,13 @@ def moebius_through_three_points(
 ) -> DiscAutomorphism:
     """The disc automorphism taking three disc points onto three others.
 
-    The unique sphere map with ``f(src[i]) = dst[i]`` is assembled from
-    cross-ratio matrices; it is returned as a `DiscAutomorphism` when its
-    determinant-normalized matrix has the disc-preserving symmetry
-    ``(alpha, beta; conj beta, conj alpha)`` within ``tol`` times
-    ``max(1, |alpha|, |beta|)`` (long words have coefficients far above
-    1, as in `DiscAutomorphism.almost_equal`), and a
-    `DiscPreservationError` carrying the sphere coefficients is raised
-    otherwise.  Coincident points in either triple are rejected.
+    The only candidate is ``f = phi_{dst0} o R o phi_{src0}``, where the
+    rotation ``R`` turns ``phi_{src0}(src1)`` onto the ray through
+    ``phi_{dst0}(dst1)``.  It is returned when the worst residual
+    ``rho(f(src[i]), dst[i])`` is at most ``tol``, which, unlike a test
+    on the coefficients, does not depend on their scale; otherwise a
+    `DiscPreservationError` carrying that residual is raised.
+    Coincident points in either triple are rejected.
     """
     src = [complex(z) for z in src]
     dst = [complex(z) for z in dst]
@@ -297,37 +297,23 @@ def moebius_through_three_points(
     for triple, name in ((src, "source"), (dst, "destination")):
         if any(abs(z) >= 1 for z in triple):
             raise ValueError(f"{name} points must lie strictly inside the disc")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if abs(triple[i] - triple[j]) <= _DISTINCT_GAP:
-                    raise DegenerateConfigurationError(
-                        f"coincident {name} points at indices {i}, {j}"
-                    )
-    m_src = _to_zero_one_inf(*src)
-    m_dst = _to_zero_one_inf(*dst)
-    # Invert m_dst up to its (nonzero) determinant; scalars cancel in the map.
-    inv_dst = np.array(
-        [[m_dst[1, 1], -m_dst[0, 1]], [-m_dst[1, 0], m_dst[0, 0]]],
-        dtype=complex,
-    )
-    m = inv_dst @ m_src
-    # det(m) equals the product of all six pairwise differences, which is
-    # tiny but perfectly healthy for closely spaced triples; computing it
-    # in product form avoids the cancellation of the 2x2 formula
-    det = (
-        (src[1] - src[2]) * (src[1] - src[0]) * (src[0] - src[2])
-        * (dst[1] - dst[2]) * (dst[1] - dst[0]) * (dst[0] - dst[2])
-    )
-    if det == 0:
-        raise ValueError("degenerate three-point problem")
-    m = m / cmath.sqrt(det)
-    a_, b_, c_, d_ = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    scaled = tol * max(1.0, abs(a_), abs(b_))
-    if abs(d_ - a_.conjugate()) <= scaled and abs(c_ - b_.conjugate()) <= scaled:
-        return DiscAutomorphism(a_, b_)
+        for i, j in combinations(range(3), 2):
+            if abs(triple[i] - triple[j]) <= _DISTINCT_GAP:
+                raise DegenerateConfigurationError(
+                    f"coincident {name} points at indices {i}, {j}"
+                )
+    to_zero = DiscAutomorphism(1j, -1j * src[0])  # phi_{src0}
+    from_zero = DiscAutomorphism(1j, -1j * dst[0])  # phi_{dst0}, its own inverse
+    turn = cmath.phase(from_zero(dst[1])) - cmath.phase(to_zero(src[1]))
+    rotation = DiscAutomorphism(cmath.rect(1.0, turn / 2.0), 0j)
+    f = from_zero.compose(rotation.compose(to_zero))
+    residual = max(_pseudo_hyperbolic(f(z), w) for z, w in zip(src, dst))
+    if residual <= tol:
+        return f
     raise DiscPreservationError(
-        "sphere map through the given triples does not preserve the disc",
-        coefficients=(complex(a_), complex(b_), complex(c_), complex(d_)),
+        "no disc automorphism takes the source triple onto the destination triple: "
+        f"the best candidate misses by {residual:.3g} in rho",
+        residual=residual,
     )
 
 
@@ -336,53 +322,43 @@ def triple_rigidity_match(
     candidates: Sequence[complex],
     delta: float = 1e-6,
     tol: float = 1e-9,
-    metric: Callable[[complex, complex], float] = rho,
 ) -> tuple:
     """Forced assignment of a labeled triple into a candidate point set.
 
-    ``triple`` carries three points whose pairwise ``metric`` distances
-    are assumed realized inside ``candidates`` (3 or 4 points whose
-    pairwise distances are all distinct with gap at least ``delta``).
-    Distance matching within ``tol`` then admits at most one assignment
-    ``i -> sigma(i)``; it is returned as the index triple
-    ``(sigma(0), sigma(1), sigma(2))``.
+    ``triple`` carries three points whose pairwise rho distances are
+    assumed realized inside ``candidates`` (3 or 4 points whose pairwise
+    distances are all distinct with gap at least ``delta``).  Every
+    injective assignment ``i -> sigma(i)`` is tried, at most 24, and the
+    one whose three distances all match within ``tol`` is returned as
+    the index triple ``(sigma(0), sigma(1), sigma(2))``.
 
     Raises `DegenerateConfigurationError` when the candidate distances
-    are ambiguous and `RigidityMatchError` when no consistent assignment
-    exists.
+    are ambiguous and `RigidityMatchError` unless exactly one assignment
+    matches.
     """
     if len(triple) != 3:
         raise ValueError("triple must contain exactly three points")
     if len(candidates) not in (3, 4):
         raise ValueError("candidate set must contain three or four points")
     cand = [complex(z) for z in candidates]
-    pairs = [(i, j) for i in range(len(cand)) for j in range(i + 1, len(cand))]
-    cand_dist = {pair: metric(cand[pair[0]], cand[pair[1]]) for pair in pairs}
-    values = list(cand_dist.values())
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if abs(values[i] - values[j]) < delta:
-                raise DegenerateConfigurationError(
-                    "degenerate configuration: candidate distances "
-                    f"{values[i]:.9g} and {values[j]:.9g} are separated by less than {delta:g}"
-                )
-    tri = [complex(z) for z in triple]
-    edge_pairs = {}
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        want = metric(tri[i], tri[j])
-        hits = [pair for pair, have in cand_dist.items() if abs(have - want) <= tol]
-        if len(hits) != 1:
-            raise RigidityMatchError(
-                f"distance {want:.9g} between triple points {i} and {j} matches "
-                f"{len(hits)} candidate pairs instead of exactly one"
+    dist = [[rho(p, q) for q in cand] for p in cand]
+    values = [dist[i][j] for i, j in combinations(range(len(cand)), 2)]
+    for i, j in combinations(range(len(values)), 2):
+        if abs(values[i] - values[j]) < delta:
+            raise DegenerateConfigurationError(
+                "degenerate configuration: candidate distances "
+                f"{values[i]:.9g} and {values[j]:.9g} are separated by less than {delta:g}"
             )
-        edge_pairs[(i, j)] = set(hits[0])
-    role0 = edge_pairs[(0, 1)] & edge_pairs[(0, 2)]
-    role1 = edge_pairs[(0, 1)] & edge_pairs[(1, 2)]
-    role2 = edge_pairs[(0, 2)] & edge_pairs[(1, 2)]
-    if not (len(role0) == len(role1) == len(role2) == 1):
-        raise RigidityMatchError("matched candidate pairs do not assemble into a triangle")
-    sigma = (role0.pop(), role1.pop(), role2.pop())
-    if len(set(sigma)) != 3:
-        raise RigidityMatchError("matched candidate pairs collapse onto fewer than three points")
-    return sigma
+    tri = [complex(z) for z in triple]
+    edges = [(i, j, rho(tri[i], tri[j])) for i, j in combinations(range(3), 2)]
+    matches = [
+        sigma
+        for sigma in permutations(range(len(cand)), 3)
+        if all(abs(dist[sigma[i]][sigma[j]] - want) <= tol for i, j, want in edges)
+    ]
+    if len(matches) != 1:
+        raise RigidityMatchError(
+            f"{len(matches)} assignments of the triple into the candidates match its "
+            "distances instead of exactly one"
+        )
+    return matches[0]

@@ -38,13 +38,16 @@ _NODE_GAP = 1e-12
 
 
 class HermitianMatrix:
-    """A square complex matrix validated to be Hermitian within tolerance."""
+    """A square complex matrix with finite entries, validated to be Hermitian within tolerance."""
 
     def __init__(self, array, tol: float = _HERMITIAN_BUILD_TOL):
         arr = np.array(array, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
-        scale = max(1.0, float(np.max(np.abs(arr)))) if arr.size else 1.0
+        peak = float(np.max(np.abs(arr))) if arr.size else 0.0
+        if not np.isfinite(peak):  # a nan or infinite entry makes the peak non-finite
+            raise ValueError("matrix entries must be finite")
+        scale = max(1.0, peak)
         drift = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
         if drift > tol * scale:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {drift:g}")

@@ -198,6 +198,17 @@ def test_matrix_action_frozen_value():
     assert f(0j) == pytest.approx(complex(9, -6) / 13, abs=1e-14)
 
 
+def test_almost_equal_across_the_sign_flip_of_the_normal_form():
+    # the normal form flips sign at Re(alpha) = 0, so these nearly equal
+    # maps are stored with opposite signs
+    f = DiscAutomorphism(1e-13 + 1j, 0.1)
+    g = DiscAutomorphism(-1e-13 + 1j, 0.1)
+    assert abs(f(0.3 + 0.2j) - g(0.3 + 0.2j)) < 1e-12
+    assert abs(g.alpha + f.alpha) < 1e-12 and abs(g.beta + f.beta) < 1e-12
+    assert f.almost_equal(g) and g.almost_equal(f)
+    assert not f.almost_equal(DiscAutomorphism(-1e-13 + 1j, -0.1))
+
+
 def test_matrix_action_identity_and_sign():
     e = moebius_from_matrix(Mat2(1, 0, 0, 1))
     assert e.almost_equal(DiscAutomorphism.identity())
@@ -248,20 +259,26 @@ def test_three_point_rejects_metric_distortion():
 
 
 def test_three_point_accepts_long_words_at_the_encoding_triple():
-    # words of length 3 have coefficients of modulus 15 to 40, so the
-    # disc-preservation residuals must be judged relative to that scale
+    # words of length 4 have coefficients of modulus up to about 60, so a
+    # disc-preservation test on the coefficients rejects some of them;
+    # the residual in rho does not grow with that scale
     from pickdisc.encode import make_params
     from pickdisc.fuchsian import GAMMA3, enumerate_words, word_to_matrix
 
-    params = make_params(GAMMA3, window=6)
-    triple = (params.base, params.satellites[0], params.satellites[1])
-    words = [w for w in enumerate_words(3) if len(w) == 3]
-    assert len(words) == 36
-    for w in words:
-        f = moebius_from_matrix(word_to_matrix(w, GAMMA3))
-        g = moebius_through_three_points(triple, tuple(f(z) for z in triple))
-        for z in (0j, 0.37 - 0.21j, -0.12 + 0.44j):
-            assert abs(g(z) - f(z)) <= 1e-9, w
+    words = enumerate_words(4)
+    assert len(words) == 161
+    for base in (0j, -0.286 + 0.010j, 0.13 - 0.21j):
+        params = make_params(GAMMA3, window=6, base=base)
+        triple = (params.base, params.satellites[0], params.satellites[1])
+        for w in words:
+            f = moebius_from_matrix(word_to_matrix(w, GAMMA3))
+            dst = tuple(f(z) for z in triple)
+            assert moebius_through_three_points(triple, dst).almost_equal(f), (base, w)
+            # phi_a(d, t) lies at rho |t| from d: move the last destination by delta
+            moved = dst[:2] + (phi_a(dst[2], params.delta),)
+            with pytest.raises(DiscPreservationError) as info:
+                moebius_through_three_points(triple, moved)
+            assert info.value.residual > params.delta / 2, (base, w)
 
 
 @given(auto_params)

@@ -227,6 +227,22 @@ def test_min_eigenvalue_on_plain_arrays():
         min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, complex(math.inf, 0.0), complex(0.0, math.nan)],
+    ids=["nan", "inf", "complex-inf", "complex-nan"],
+)
+def test_non_finite_entries_are_rejected(bad):
+    # unchecked, a nan entry reaches the verdict as a nan minimum eigenvalue
+    # and an infinite one as an infinite tolerance
+    entries = [[1.0, bad], [np.conj(bad), 1.0]]
+    with pytest.raises(ValueError, match="finite"):
+        HermitianMatrix(entries)
+    with pytest.raises(ValueError, match="finite"):
+        min_eigenvalue(entries)
+    with pytest.raises(ValueError, match="finite"):
+        min_eigenvalue([[bad]])
+
+
 def test_report_round_trips_to_dict():
     report = min_eigenvalue(np.eye(2))
     assert report.as_dict() == {
