@@ -13,7 +13,7 @@ stdout or to ``--output``.  Exit codes follow one convention:
 Complex numbers are written like ``0.3+0.1i`` (also ``j``); lists of
 complex numbers are separated by ``;``, coefficient lists by ``,`` and
 word subsets by ``,`` (``;`` is accepted too).  Any value argument may
-be ``@path`` to read the text from a file.
+be ``@path``, read from the file once: text read from it is not expanded again.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _load_arg(text: str) -> str:
 
 
 def _parse_complex(text: str) -> complex:
-    cleaned = _load_arg(text).strip().replace(" ", "").replace("i", "j")
+    cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
         return complex(cleaned)
     except ValueError:
@@ -78,7 +78,7 @@ def _parse_complex(text: str) -> complex:
 
 
 def _split(text: str, sep: str) -> list:
-    body = _load_arg(text).strip()
+    body = text.strip()
     if not body:
         return []
     return [tok.strip() for tok in body.split(sep)]
@@ -106,11 +106,8 @@ def _parse_ints(text: str) -> list:
 
 
 def _parse_words(text: str) -> list:
-    body = _load_arg(text).strip().replace(";", ",")
-    if not body:
-        return []
     try:
-        return [Word.from_string(tok) for tok in _split(body, ",")]
+        return [Word.from_string(tok) for tok in _split(text.replace(";", ","), ",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse word list {text!r}: {exc}") from None
 
@@ -122,7 +119,7 @@ def _seq_payload(seq: CoefficientSequence) -> list:
 
 
 def _jsonable(obj):
-    """Coerce Fractions, complexes, and numpy scalars into JSON types."""
+    """Coerce Fractions, complexes and numpy scalars into JSON types, non-finite floats to null."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -130,8 +127,8 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, float) and math.isinf(obj):
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if hasattr(obj, "item") and type(obj).__module__ == "numpy":
         return _jsonable(obj.item())
@@ -142,7 +139,7 @@ def _emit(args, payload, csv_text: str | None = None) -> None:
     if csv_text is not None:
         text = csv_text
     else:
-        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -274,9 +271,7 @@ def _cmd_orbit(args) -> int:
 
 def _blaschke_csv(table) -> str:
     lines = ["L,sphere_size,sigma_L,S_L,ratio"]
-    for i in range(1, len(table.levels)):
-        lv = table.levels[i]
-        ratio = lv.sigma / table.levels[i - 1].sigma
+    for lv, ratio in zip(table.levels[1:], table.sphere_ratios()):
         lines.append(f"{lv.length},{lv.size},{lv.sigma!r},{lv.cumulative!r},{ratio!r}")
     return "\n".join(lines) + "\n"
 
@@ -522,6 +517,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, str) and name != "output":
+                setattr(args, name, _load_arg(value))
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

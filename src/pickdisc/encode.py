@@ -73,6 +73,7 @@ from .fuchsian import GAMMA3, GroupPreset, Word, enumerate_words
 from .fuchsian import _coefficients, _position, _row_strings, _spheres
 from .hypgeo import (
     _DISTINCT_GAP,
+    _disc_point,
     _moebius,
     _pseudo_hyperbolic,
     DiscAutomorphism,
@@ -154,9 +155,7 @@ def make_params(
 
     if window < 1:
         raise ValueError("window must be >= 1")
-    base = complex(base)
-    if abs(base) >= 1.0:
-        raise ValueError("base must lie strictly inside the disc")
+    base = _disc_point(base, "base must lie strictly inside the disc")
     level = max(window, 8) if separation_level is None else separation_level
     eps = 0.5 * separation_estimate(base, level, preset)
     delta = eps / 400.0
@@ -207,7 +206,7 @@ class Configuration:
         pts = np.asarray(self.points, dtype=complex).reshape(-1)
         if pts.shape[0] != len(self.labels):
             raise ValueError("points and labels must have equal length")
-        if pts.size and float(np.max(np.abs(pts))) >= 1.0:
+        if not np.max(np.abs(pts), initial=0.0) < 1.0:
             raise ValueError("configuration points must lie strictly inside the disc")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hypgeo import Mat2, _pseudo_hyperbolic
+from .hypgeo import Mat2, _disc_point, _pseudo_hyperbolic
 
 __all__ = [
     "Word",
@@ -362,9 +362,7 @@ def orbit_points(
     spheres keep aggregates only (sums, minima, sizes).  The total word
     count ``2 * 3**max_length - 1`` must stay within ``word_cap``.
     """
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise ValueError("base point must lie strictly inside the disc")
+    z = _disc_point(z, "base point must lie strictly inside the disc")
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     total = 2 * 3**max_length - 1

@@ -27,6 +27,11 @@ with ``P_a`` the projection onto span{a}, ``Q_a = I - P_a`` and
 a tolerance in rho.  `triple_rigidity_match` implements the rigidity
 fact that three labeled points with pairwise-distinct distances match
 into a candidate set with all-distinct distances in at most one way.
+
+Membership is decided here: `_disc_point` checks each scalar disc point
+the package takes in and `as_ball_point` each ball point, both as
+``not |z| < 1``, which refuses the boundary and NaN alike; encoded
+configurations and Pick nodes apply the same test to whole arrays.
 """
 
 from __future__ import annotations
@@ -183,6 +188,14 @@ class DiscAutomorphism:
         )
 
 
+def _disc_point(z, message: str = "points must lie strictly inside the disc") -> complex:
+    """``z`` as a Python complex, refused with ``message`` unless ``|z| < 1``."""
+    z = complex(z)
+    if not abs(z) < 1.0:
+        raise ValueError(message)
+    return z
+
+
 def as_ball_point(z, dimension: int | None = None) -> np.ndarray:
     """Coerce to a complex vector strictly inside the unit ball."""
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -190,7 +203,7 @@ def as_ball_point(z, dimension: int | None = None) -> np.ndarray:
         raise ValueError("a ball point must be a scalar or a 1-d vector")
     if dimension is not None and arr.shape[0] != dimension:
         raise ValueError(f"expected dimension {dimension}, got {arr.shape[0]}")
-    if np.linalg.norm(arr) >= 1.0:
+    if not np.linalg.norm(arr) < 1.0:
         raise ValueError("point must lie strictly inside the unit ball")
     return arr
 
@@ -201,12 +214,9 @@ def phi_a(a, z):
     Scalars are treated as points of the disc (d = 1) and returned as
     scalars; vectors as points of the ball in C^d.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(z) == 0
-    if scalar:
-        a = complex(a)
-        z = complex(z)
-        if abs(a) >= 1 or abs(z) >= 1:
-            raise ValueError("points must lie strictly inside the disc")
+    if np.ndim(a) == 0 and np.ndim(z) == 0:
+        a = _disc_point(a)
+        z = _disc_point(z)
         return (a - z) / (1.0 - a.conjugate() * z)
     av = as_ball_point(a)
     zv = as_ball_point(z, dimension=av.shape[0])
@@ -240,11 +250,7 @@ def _pseudo_hyperbolic(a, b):
 def rho(a, b) -> float:
     """Pseudo-hyperbolic distance |phi_a(b)|, automorphism-invariant."""
     if np.ndim(a) == 0 and np.ndim(b) == 0:
-        a = complex(a)
-        b = complex(b)
-        if abs(a) >= 1 or abs(b) >= 1:
-            raise ValueError("points must lie strictly inside the disc")
-        return _pseudo_hyperbolic(a, b)
+        return _pseudo_hyperbolic(_disc_point(a), _disc_point(b))
     return float(np.linalg.norm(phi_a(a, b)))
 
 
@@ -290,13 +296,11 @@ def moebius_through_three_points(
     `DiscPreservationError` carrying that residual is raised.
     Coincident points in either triple are rejected.
     """
-    src = [complex(z) for z in src]
-    dst = [complex(z) for z in dst]
     if len(src) != 3 or len(dst) != 3:
         raise ValueError("need exactly three source and three destination points")
+    src = [_disc_point(z, "source points must lie strictly inside the disc") for z in src]
+    dst = [_disc_point(z, "destination points must lie strictly inside the disc") for z in dst]
     for triple, name in ((src, "source"), (dst, "destination")):
-        if any(abs(z) >= 1 for z in triple):
-            raise ValueError(f"{name} points must lie strictly inside the disc")
         for i, j in combinations(range(3), 2):
             if abs(triple[i] - triple[j]) <= _DISTINCT_GAP:
                 raise DegenerateConfigurationError(

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .seqkernel import CoefficientSequence, _eval_series, _kernel_terms
+from .seqkernel import CoefficientSequence, _eval_series
 
 __all__ = [
     "PickProblem",
@@ -82,6 +82,22 @@ class PsdReport:
         }
 
 
+def _ball_nodes(points, dimension: int, what: str) -> tuple:
+    """``points`` as complex tuples and as an ``(n, dimension)`` array, strictly inside the ball.
+
+    The squared norms round as ``sum(abs(c) ** 2 for c in point)`` does (libm ``hypot`` and
+    ``pow``, left to right), so a point next to the sphere keeps that loop's verdict.
+    """
+    pts = tuple(tuple(complex(c) for c in p) for p in points)
+    try:
+        arr = np.array(pts, dtype=complex).reshape(len(pts), dimension)
+    except ValueError:
+        raise ValueError(f"every {what} must have {dimension} coordinates") from None
+    if not np.all(sum(np.float_power(np.hypot(arr.real, arr.imag), 2.0).T) < 1.0):
+        raise ValueError(f"{what}s must lie strictly inside the unit ball")
+    return pts, arr
+
+
 @dataclass(frozen=True)
 class PickProblem:
     """An interpolation data set: kernel, ball nodes, and disc targets.
@@ -99,24 +115,17 @@ class PickProblem:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        nodes = tuple(tuple(complex(c) for c in node) for node in self.nodes)
+        nodes, arr = _ball_nodes(self.nodes, self.dimension, "node")
         targets = tuple(complex(t) for t in self.targets)
         if len(nodes) != len(targets) or not nodes:
             raise ValueError("need equally many nodes and targets, at least one each")
-        for node in nodes:
-            if len(node) != self.dimension:
-                raise ValueError(f"every node must have {self.dimension} coordinates")
-            if sum(abs(c) ** 2 for c in node) >= 1.0:
-                raise ValueError("nodes must lie strictly inside the unit ball")
-        arr = np.array(nodes, dtype=complex)
         gap = np.max(np.abs(arr[:, None, :] - arr[None, :, :]), axis=2)
         coincident = np.argwhere(np.triu(gap <= _NODE_GAP, k=1))
         if coincident.size:
             i, j = coincident[0]
             raise ValueError(f"nodes {i} and {j} coincide")
-        for t in targets:
-            if abs(t) > 1.0:
-                raise ValueError("targets must have modulus <= 1")
+        if not all(abs(t) <= 1.0 for t in targets):
+            raise ValueError("targets must have modulus <= 1")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
@@ -146,7 +155,7 @@ def _kernel_gram(kernel: CoefficientSequence, nodes, kernel_tol: float) -> np.nd
     propagate as errors.
     """
     inner = _pairings(nodes)
-    terms, ratio_bound = _kernel_terms(kernel)
+    terms, ratio_bound = kernel._float_kernel
     rows, cols = np.triu_indices(inner.shape[0])
     upper = np.zeros_like(inner)
     upper[rows, cols] = _eval_series(terms, ratio_bound, inner[rows, cols], kernel_tol)[0]
@@ -208,15 +217,10 @@ def gram_and_irreducibility(
     and every 2x2 principal minor ``G_ii G_jj - |G_ij|^2`` exceeds
     ``tol`` (no pair of proportional sections).
     """
-    pts = tuple(tuple(complex(c) for c in (p if np.ndim(p) else (p,))) for p in points)
+    pts, arr = _ball_nodes((p if np.ndim(p) else (p,) for p in points), dimension, "point")
     if not pts:
         raise ValueError("need at least one point")
-    for p in pts:
-        if len(p) != dimension:
-            raise ValueError(f"every point must have {dimension} coordinates")
-        if sum(abs(c) ** 2 for c in p) >= 1.0:
-            raise ValueError("points must lie strictly inside the unit ball")
-    gram = _kernel_gram(kernel, pts, kernel_tol)
+    gram = _kernel_gram(kernel, arr, kernel_tol)
     rows, cols = np.triu_indices(len(pts), k=1)
     moduli = np.abs(gram[rows, cols])
     diag = gram.diagonal().real

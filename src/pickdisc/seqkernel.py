@@ -146,7 +146,11 @@ class CoefficientSequence:
 
     @cached_property
     def _float_kernel(self) -> tuple:
-        """Read-only float terms and the tail ratio bound; see `_kernel_terms`."""
+        """Read-only float terms and the tail ratio bound of a kernel, checked and made once.
+
+        A bad head raises on every access, since a raising `cached_property` caches nothing.
+        """
+        self._require_kernel_head("a")
         terms = np.array(self.as_floats())
         terms.setflags(write=False)
         ratio_bound = max(1.0, float(np.max(terms[1:] / terms[:-1], initial=0.0)))
@@ -403,16 +407,6 @@ def same_growth_report(
     )
 
 
-def _kernel_terms(a: CoefficientSequence) -> tuple:
-    """Float terms of a kernel sequence and the ratio bound for its tail.
-
-    The head is checked on every call; the conversion is made once per
-    sequence.
-    """
-    a._require_kernel_head("a")
-    return a._float_kernel
-
-
 def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: float) -> tuple:
     """Certified partial sums of ``sum_n terms[n] u^n`` for every entry of ``u``.
 
@@ -431,7 +425,7 @@ def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: floa
     """
     mod_u = np.abs(u)
     worst = float(np.max(mod_u, initial=0.0))
-    if worst >= 1.0:
+    if not worst < 1.0:
         raise ValueError(f"|u| must be < 1, got {worst}")
     n = terms.shape[0]
     if n < 2:
@@ -488,7 +482,7 @@ def kernel_eval(a: CoefficientSequence, u: complex, tol: float = 1e-10) -> Kerne
     Requires ``|u| < 1`` and a kernel-normalized sequence (``a_0 = 1``,
     positive terms).  ``u = 0`` returns exactly 1.
     """
-    terms, ratio_bound = _kernel_terms(a)
+    terms, ratio_bound = a._float_kernel
     values, tails, used = _eval_series(terms, ratio_bound, np.array([complex(u)]), tol)
     return KernelValue(complex(values[0]), float(tails[0]), int(used[0]), ratio_bound)
 
@@ -563,11 +557,7 @@ def cumulative_product_deviation(g: Sequence[float], n_terms: int) -> tuple:
         raise ValueError("g needs at least n_terms terms")
     if any(x <= 0 for x in terms[:n_terms]):
         raise ValueError("g must have strictly positive terms")
-    embedding = []
-    prod = 1.0
-    for k in range(n_terms):
-        prod *= terms[k]
-        embedding.append(prod - 1.0)
+    embedding = [p - 1.0 for p in _partial_products(terms, n_terms)]
     partial = math.fsum(abs(e) for e in embedding)
     return partial, embedding
 

@@ -377,3 +377,10 @@ def test_cli_battery_is_deterministic():
         assert r["code"] == (1 if i in expect_failure else 0), r
     assert '"feasible": false' in records[6]["stdout"]
     assert records[8]["stderr"].startswith("error:")
+    for r in records:
+        if "csv" not in r["argv"]:
+            json.loads(r["stdout"], parse_constant=_refuse_non_finite)
+
+
+def _refuse_non_finite(name):
+    raise AssertionError(f"non-finite number {name} in the JSON output")

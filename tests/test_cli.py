@@ -98,6 +98,18 @@ def test_growth_reports_the_ratio_spread(capsys):
     assert payload["ratio_spread"] == 4.0
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite number {name} in the JSON output")
+
+
+def test_growth_writes_non_finite_ratios_as_null(capsys):
+    # both ratios overflow to inf, so their quotient is NaN
+    code, out, _ = run_cli(capsys, "growth", "--a", "1e-300", "--a-prime", "1e300")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert payload["max_ratio"] is None and payload["ratio_spread"] is None
+
+
 def test_growth_rejects_a_malformed_number_list(capsys):
     code, out, err = run_cli(capsys, "growth", "--a", "1,x", "--a-prime", "1,2")
     assert code == 2
@@ -231,6 +243,14 @@ def test_separation_frozen_value(capsys):
 # encode
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("command", ["orbit", "blaschke", "separation"])
+def test_a_nan_base_point_is_a_domain_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--L", "2", "--z", "nan")
+    assert code == 1
+    assert not out
+    assert err == "error: base point must lie strictly inside the disc\n"
+
+
 def test_encode_build_json_counts(capsys):
     payload = run_json(capsys, "encode-build", "--subset", "e,a,bA")
     n_words = 2 * 3**4 - 1
@@ -361,6 +381,19 @@ def test_at_file_arguments(capsys, tmp_path):
     assert from_file == inline
     code, _, err = run_cli(capsys, "admissible", "--a", f"@{tmp_path}/missing.txt")
     assert code == 2 and err.startswith("error:")
+
+
+def test_at_file_text_is_not_expanded_again(capsys, tmp_path):
+    (tmp_path / "inner.txt").write_text("e,b\n")
+    (tmp_path / "outer.txt").write_text(f"@{tmp_path}/inner.txt\n")
+    code, _, err = run_cli(capsys, "encode-build", "--subset", f"@{tmp_path}/outer.txt")
+    assert code == 2 and err.startswith("error: cannot parse word list")
+    # a ';'-token inside a value names no file either
+    (tmp_path / "f").write_text("0.5")
+    code, _, err = run_cli(
+        capsys, "pick", "--kernel", "ones", "--nodes", "0;0.5", "--targets", f"0;@{tmp_path}/f"
+    )
+    assert code == 2 and err.startswith("error: cannot parse complex number")
 
 
 def test_output_flag_writes_the_same_bytes(capsys, tmp_path):

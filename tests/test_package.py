@@ -1,6 +1,9 @@
-"""Package-level checks: the public name list and the demo scripts."""
+"""Package-level checks: the public name list, the demo scripts, and that
+every entry point refuses a NaN point with a plain membership error."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +55,59 @@ def test_demo_runs_cleanly(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+# Every point lives strictly inside the disc or the ball, and NaN fails every
+# comparison; each entry point must refuse it with its own membership message
+# before any arithmetic (a RuntimeWarning, a rigidity or certification error,
+# or a quiet NaN result would each mean the check let it through).
+_ONES = seqkernel.CoefficientSequence.ones(64)
+_MEMBERSHIP = r"inside|< 1|<= 1"
+
+
+def _configuration(z):
+    params = encode.make_params(window=2)
+    return encode.Configuration(points=[0.1, z], labels=(("e", 0), ("e", 1)), params=params)
+
+
+_ENTRY_POINTS = {
+    "rho": lambda z: hypgeo.rho(0.1, z),
+    "phi_a-scalar": lambda z: hypgeo.phi_a(z, 0.1),
+    "phi_a-vector": lambda z: hypgeo.phi_a([0.1, 0.2], [z, 0.0]),
+    "as_ball_point": lambda z: hypgeo.as_ball_point([z, 0.0]),
+    "moebius-source": lambda z: hypgeo.moebius_through_three_points((0.3, z, 0.2), (0.3, 0.1, 0.2)),
+    "moebius-destination": lambda z: hypgeo.moebius_through_three_points(
+        (0.3, 0.1, 0.2), (0.3, 0.1, z)
+    ),
+    "orbit_points": lambda z: fuchsian.orbit_points(z, 2),
+    "separation_estimate": lambda z: fuchsian.separation_estimate(z, 2),
+    "make_params": lambda z: encode.make_params(window=2, base=z),
+    "Configuration": _configuration,
+    "PickProblem-node": lambda z: pick.PickProblem(_ONES, 2, ((z, 0.0), (0.2, 0.1)), (0.0, 0.1)),
+    "PickProblem-target": lambda z: pick.PickProblem(_ONES, 1, ((0.1,), (0.2,)), (0.0, z)),
+    "gram_and_irreducibility": lambda z: pick.gram_and_irreducibility(_ONES, 1, (0.1, z)),
+    "kernel_eval": lambda z: seqkernel.kernel_eval(_ONES, z),
+}
+
+
+@pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan)], ids=["nan", "nan-imag"])
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_nan_points_are_refused_at_the_entry_point(name, z):
+    with pytest.raises(ValueError, match=_MEMBERSHIP) as info:
+        _ENTRY_POINTS[name](z)
+    assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_the_unit_circle_is_refused_and_one_ulp_inside_is_not(name):
+    inside = math.nextafter(1.0, 0.0)
+    if name == "PickProblem-target":  # targets may lie on the circle
+        inside, outside = 1.0, math.nextafter(1.0, 2.0)
+    else:
+        outside = 1.0
+    with pytest.raises(ValueError, match=_MEMBERSHIP):
+        _ENTRY_POINTS[name](outside)
+    try:
+        _ENTRY_POINTS[name](inside)
+    except ValueError as exc:  # refused later, for a reason other than membership
+        assert not re.search(_MEMBERSHIP, str(exc)), exc

@@ -260,6 +260,14 @@ def test_refusal_outside_certified_region():
         kernel_eval(a, 0.999)
 
 
+def test_a_bad_kernel_head_is_refused_on_every_evaluation():
+    for bad in ((2.0, 1.0, 1.0), (1.0, 0.5, -0.25)):
+        a = CoefficientSequence.floating(bad)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must equal 1|strictly positive"):
+                kernel_eval(a, 0.1)
+
+
 def test_kernel_value_is_complex_convertible():
     out = kernel_eval(CoefficientSequence.ones(64), 0.25)
     assert complex(out) == out.value
