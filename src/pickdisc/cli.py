@@ -12,8 +12,10 @@ stdout or to ``--output``.  Exit codes follow one convention:
 
 Complex numbers are written like ``0.3+0.1i`` (also ``j``); lists of
 complex numbers are separated by ``;``, coefficient lists by ``,`` and
-word subsets by ``,`` (``;`` is accepted too).  Any value argument may
-be ``@path``, read from the file once: text read from it is not expanded again.
+word subsets by ``,`` (``;`` is accepted too).  Every value argument
+except ``--output`` may be ``@path`` (``--flag @path`` or
+``--flag=@path``): the file is read once, before parsing, and the text
+read from it is not expanded again.  A ``@`` inside a list names no file.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .encode import (
     build_configuration,
@@ -59,14 +62,30 @@ class UsageError(ValueError):
     """Unparseable or malformed command-line input (exit code 2)."""
 
 
-def _load_arg(text: str) -> str:
-    if text.startswith("@"):
-        try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
-                return fh.read().strip()
-        except OSError as exc:
-            raise UsageError(f"cannot read {text[1:]!r}: {exc}") from None
-    return text
+def _expand_files(argv: list) -> list:
+    """Replace each ``@path`` option value by the file's text, once.
+
+    ``--flag @path`` and ``--flag=@path`` both become ``--flag=<text>``,
+    so text starting with ``-`` still parses as a value.  ``--output``
+    and its abbreviations name a file to write and are left alone.
+    """
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        i += 1
+        flag, eq, value = tok.partition("=")
+        if len(flag) > 2 and flag.startswith("--") and not "--output".startswith(flag):
+            if not eq and i < len(argv) and argv[i].startswith("@"):
+                value = argv[i]
+                i += 1
+            if value.startswith("@"):
+                try:
+                    with open(value[1:], "r", encoding="utf-8") as fh:
+                        tok = f"{flag}={fh.read().strip()}"
+                except OSError as exc:
+                    raise UsageError(f"cannot read {value[1:]!r}: {exc}") from None
+        out.append(tok)
+    return out
 
 
 def _parse_complex(text: str) -> complex:
@@ -135,36 +154,39 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args, payload, csv_text: str | None = None) -> None:
-    if csv_text is not None:
-        text = csv_text
+def _emit(args, payload) -> None:
+    """Write ``payload`` to stdout or ``--output``: text (CSV) as is, anything else as JSON."""
+    if isinstance(payload, str):
+        text = payload
     else:
         text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-_NAMED_KERNELS = ("ones", "szego")
+def _refuse(flag: str, exc: Exception) -> tuple:
+    """A refused evaluation or step: one ``error:`` line, then ``{flag: false, "error": ...}``."""
+    print(f"error: {exc}", file=sys.stderr)
+    return {flag: False, "error": str(exc)}, 1
 
 
 def _kernel_from_args(args) -> CoefficientSequence:
-    if getattr(args, "a", None):
+    if args.a:
         return CoefficientSequence(tuple(_parse_terms(args.a, False)), exact=False)
-    if getattr(args, "b", None):
+    if args.b:
         b = CoefficientSequence(tuple(_parse_terms(args.b, False)), exact=False)
         return a_from_b(b, args.n_terms)
-    name = getattr(args, "kernel", None)
-    if name:
-        if name not in _NAMED_KERNELS:
-            raise UsageError(f"unknown kernel name {name!r}; choose from {_NAMED_KERNELS}")
+    if args.kernel:  # both names are the all-ones (Szego) kernel
         return CoefficientSequence.ones(args.n_terms)
     raise UsageError("a kernel is required: pass --a, --b, or --kernel")
 
 
-def _cmd_coeffs(args) -> int:
+# Each handler returns ``(payload, exit code)``; `main` emits the payload.
+
+def _cmd_coeffs(args) -> tuple:
     exact = args.exact
     if (args.from_a is None) == (args.from_b is None):
         raise UsageError("pass exactly one of --from-a / --from-b")
@@ -176,28 +198,25 @@ def _cmd_coeffs(args) -> int:
     else:
         a = CoefficientSequence(tuple(_parse_terms(args.from_a, exact)), exact=exact)
         b = b_from_a(a, args.n)
-    _emit(args, {"a": _seq_payload(a), "b": _seq_payload(b), "exact": exact})
-    return 0
+    return {"a": _seq_payload(a), "b": _seq_payload(b), "exact": exact}, 0
 
 
-def _cmd_admissible(args) -> int:
+def _cmd_admissible(args) -> tuple:
     a = CoefficientSequence(tuple(_parse_terms(args.a, args.exact)), exact=args.exact)
     report = check_admissible_log_convex(a, tol=args.tol)
-    _emit(args, report.as_dict())
-    return 0 if report.verdict_at_truncation else 1
+    return report.as_dict(), 0 if report.verdict_at_truncation else 1
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args) -> tuple:
     a = CoefficientSequence(tuple(_parse_terms(args.a, exact=False)), exact=False)
     a_prime = CoefficientSequence(tuple(_parse_terms(args.a_prime, exact=False)), exact=False)
     report = same_growth_report(a, a_prime, n_terms=args.n)
     payload = report.as_dict()
     payload["ratio_spread"] = float(report.max_ratio) / float(report.min_ratio)
-    _emit(args, payload)
-    return 0
+    return payload, 0
 
 
-def _cmd_pick(args) -> int:
+def _cmd_pick(args) -> tuple:
     kernel = _kernel_from_args(args)
     node_toks = _split(args.nodes, ";")
     nodes = tuple(tuple(_parse_complex(c) for c in tok.split(",")) for tok in node_toks)
@@ -209,46 +228,38 @@ def _cmd_pick(args) -> int:
     payload["feasible"] = report.is_psd
     payload["n_nodes"] = len(problem.nodes)
     payload["dimension"] = dimension
-    _emit(args, payload)
-    return 0 if report.is_psd else 1
+    return payload, 0 if report.is_psd else 1
 
 
-def _cmd_kernel_eval(args) -> int:
+def _cmd_kernel_eval(args) -> tuple:
     kernel = _kernel_from_args(args)
     u = _parse_complex(args.u)
     try:
         result = kernel_eval(kernel, u, tol=args.tol)
     except UncertifiedEvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(args, {"certified": False, "error": str(exc)})
-        return 1
-    _emit(
-        args,
-        {
-            "certified": True,
-            "value": result.value,
-            "abs": abs(result.value),
-            "tail_bound": result.tail_bound,
-            "terms_used": result.terms_used,
-        },
-    )
-    return 0
+        return _refuse("certified", exc)
+    payload = {
+        "certified": True,
+        "value": result.value,
+        "abs": abs(result.value),
+        "tail_bound": result.tail_bound,
+        "terms_used": result.terms_used,
+    }
+    return payload, 0
 
 
-def _orbit_csv(table) -> str:
-    lines = ["word,length,re,im,one_minus_abs"]
-    for word, length, pt, om in table.iter_rows():
-        lines.append(f"{word},{length},{pt.real!r},{pt.imag!r},{om!r}")
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> tuple:
     preset = PRESETS[args.preset]
     z = _parse_complex(args.z)
     table = orbit_points(z, args.max_length, preset=preset, store_limit=args.store)
     if args.format == "csv":
-        _emit(args, None, csv_text=_orbit_csv(table))
-        return 0
+        rows = (f"{word},{length},{pt.real!r},{pt.imag!r},{om!r}"
+                for word, length, pt, om in table.iter_rows())
+        return _csv("word,length,re,im,one_minus_abs", rows), 0
     payload = {
         "base": z,
         "preset": table.preset_name,
@@ -265,42 +276,30 @@ def _cmd_orbit(args) -> int:
             for lv in table.levels
         ],
     }
-    _emit(args, payload)
-    return 0
+    return payload, 0
 
 
-def _blaschke_csv(table) -> str:
-    lines = ["L,sphere_size,sigma_L,S_L,ratio"]
-    for lv, ratio in zip(table.levels[1:], table.sphere_ratios()):
-        lines.append(f"{lv.length},{lv.size},{lv.sigma!r},{lv.cumulative!r},{ratio!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_blaschke(args) -> int:
+def _cmd_blaschke(args) -> tuple:
     preset = PRESETS[args.preset]
     z = _parse_complex(args.z)
     table = orbit_points(z, args.max_length, preset=preset, store_limit=0)
     if args.format == "csv":
-        _emit(args, None, csv_text=_blaschke_csv(table))
-        return 0
+        rows = (f"{lv.length},{lv.size},{lv.sigma!r},{lv.cumulative!r},{ratio!r}"
+                for lv, ratio in zip(table.levels[1:], table.sphere_ratios()))
+        return _csv("L,sphere_size,sigma_L,S_L,ratio", rows), 0
     diag = blaschke_diagnostics(table)
     payload = diag.as_dict()
     payload["preset"] = table.preset_name
     payload["base"] = z
     payload["partial_sums"] = [lv.cumulative for lv in table.levels]
-    _emit(args, payload)
-    return 0
+    return payload, 0
 
 
-def _cmd_separation(args) -> int:
+def _cmd_separation(args) -> tuple:
     preset = PRESETS[args.preset]
     z = _parse_complex(args.z)
     sep = separation_estimate(z, args.max_length, preset=preset)
-    _emit(
-        args,
-        {"separation": sep, "z": z, "max_length": args.max_length, "preset": preset.name},
-    )
-    return 0
+    return {"separation": sep, "z": z, "max_length": args.max_length, "preset": preset.name}, 0
 
 
 def _params_payload(params) -> dict:
@@ -314,37 +313,28 @@ def _params_payload(params) -> dict:
     }
 
 
-def _cmd_encode_build(args) -> int:
-    preset = PRESETS[args.preset]
-    params = make_params(preset=preset, window=args.window, base=_parse_complex(args.base))
-    subset = _parse_words(args.subset)
-    config = build_configuration(subset, params)
+def _params_from_args(args):
+    return make_params(
+        preset=PRESETS[args.preset], window=args.window, base=_parse_complex(args.base)
+    )
+
+
+def _cmd_encode_build(args) -> tuple:
+    params = _params_from_args(args)
+    config = build_configuration(_parse_words(args.subset), params)
+    labels = repeat((None, None)) if args.mask else config.labels
+    rows = [(complex(pt), word, family) for pt, (word, family) in zip(config.points, labels)]
     if args.format == "csv":
-        lines = ["re,im,word,family"]
-        for pt, label in zip(config.points, config.labels):
-            if args.mask:
-                lines.append(f"{float(pt.real)!r},{float(pt.imag)!r},,")
-            else:
-                lines.append(f"{float(pt.real)!r},{float(pt.imag)!r},{label[0]},{label[1]}")
-        _emit(args, None, csv_text="\n".join(lines) + "\n")
-        return 0
-    payload = {
-        "params": _params_payload(params),
-        "n_points": len(config),
-        "points": [
-            {"word": None if args.mask else label[0],
-             "family": None if args.mask else label[1],
-             "point": complex(pt)}
-            for pt, label in zip(config.points, config.labels)
-        ],
-    }
-    _emit(args, payload)
-    return 0
+        # a masked row leaves its word and family cells empty
+        lines = (f"{pt.real!r},{pt.imag!r}," + ("," if word is None else f"{word},{family}")
+                 for pt, word, family in rows)
+        return _csv("re,im,word,family", lines), 0
+    points = [{"word": word, "family": family, "point": pt} for pt, word, family in rows]
+    return {"params": _params_payload(params), "n_points": len(config), "points": points}, 0
 
 
-def _cmd_encode_test(args) -> int:
-    preset = PRESETS[args.preset]
-    params = make_params(preset=preset, window=args.window, base=_parse_complex(args.base))
+def _cmd_encode_test(args) -> tuple:
+    params = _params_from_args(args)
     subset_a = _parse_words(args.subset_a)
     subset_b = _parse_words(args.subset_b)
     payload: dict = {"params": _params_payload(params), "search_length": args.search_length}
@@ -361,166 +351,147 @@ def _cmd_encode_test(args) -> int:
         verdicts.append(geo.equivalent)
     if len(verdicts) == 2:
         payload["agree"] = verdicts[0] == verdicts[1]
-    _emit(args, payload)
-    return 0 if all(verdicts) else 1
+    return payload, 0 if all(verdicts) else 1
 
 
-def _cmd_turbulence_step(args) -> int:
+def _cmd_turbulence_step(args) -> tuple:
     s = RatioSequence(tuple(_parse_terms(args.s, exact=False)))
     t = RatioSequence(tuple(_parse_terms(args.t, exact=False)))
     try:
         g, n_exp = turbulence_step(s, t, args.n1, args.eps, n_max=args.n_max)
     except ScalingStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit(args, {"feasible": False, "error": str(exc)})
-        return 1
-    _emit(args, {"feasible": True, "g": list(g), "root_exponent": n_exp})
-    return 0
+        return _refuse("feasible", exc)
+    return {"feasible": True, "g": list(g), "root_exponent": n_exp}, 0
 
 
-def _cmd_da_inner(args) -> int:
+def _cmd_da_inner(args) -> tuple:
     alpha = _parse_ints(args.alpha)
     beta = _parse_ints(args.beta)
     value = drury_arveson_inner(alpha, beta)
-    _emit(
-        args,
-        {
-            "value": value,
-            "numerator": value.numerator,
-            "denominator": value.denominator,
-            "is_zero": value == 0,
-        },
-    )
-    return 0
-
-
-def _add_output(sub) -> None:
-    sub.add_argument("--output", help="write the result to this file instead of stdout")
+    payload = {
+        "value": value,
+        "numerator": value.numerator,
+        "denominator": value.denominator,
+        "is_zero": value == 0,
+    }
+    return payload, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``pickdisc`` parser.
+
+    Options shared by several commands are declared once, on the parent
+    parsers below; ``command`` builds every subcommand and adds ``--output``.
+    """
     parser = argparse.ArgumentParser(
         prog="pickdisc",
         description="Kernel coefficient tools, Pick feasibility, and disc orbit encodings.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("coeffs", help="convert between kernel and reciprocal coefficients")
+    def group(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    preset = group()
+    preset.add_argument("--preset", default="GAMMA3", choices=sorted(PRESETS))
+    orbit_base = group(preset)
+    orbit_base.add_argument("--z", default="0", help="base point")
+    kernel = group()
+    source = kernel.add_mutually_exclusive_group()
+    source.add_argument("--a", help="kernel a coefficients (comma list)")
+    source.add_argument("--b", help="kernel b coefficients (comma list)")
+    source.add_argument("--kernel", choices=("ones", "szego"),
+                        help="named kernel: ones (alias szego)")
+    kernel.add_argument("--n-terms", type=int, default=256)
+    encoding = group(preset)
+    encoding.add_argument("--window", type=int, default=4)
+    encoding.add_argument("--base", default="0")
+    table_format = group()
+    table_format.add_argument("--format", default="json", choices=("json", "csv"))
+
+    def command(name, handler, help, *groups):
+        p = subs.add_parser(name, help=help, parents=groups)
+        p.add_argument("--output", help="write the result to this file instead of stdout")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("coeffs", _cmd_coeffs, "convert between kernel and reciprocal coefficients")
     p.add_argument("--from-a", help="comma list of a coefficients (a_0 first)")
     p.add_argument("--from-b", help="comma list of b coefficients (b_1 first)")
     p.add_argument("--n", type=int, help="output length (required with --from-b)")
     p.add_argument("--exact", action="store_true", help="use exact rational arithmetic")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_coeffs)
 
-    p = subs.add_parser("admissible", help="check kernel-coefficient admissibility at a truncation")
+    p = command("admissible", _cmd_admissible,
+                "check kernel-coefficient admissibility at a truncation")
     p.add_argument("--a", required=True, help="comma list of a coefficients")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--exact", action="store_true")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_admissible)
 
-    p = subs.add_parser("growth", help="componentwise ratio extremes of two coefficient lists")
+    p = command("growth", _cmd_growth, "componentwise ratio extremes of two coefficient lists")
     p.add_argument("--a", required=True)
-    p.add_argument("--a-prime", required=True, dest="a_prime")
-    p.add_argument("--n", type=int, default=None)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_growth)
+    p.add_argument("--a-prime", required=True)
+    p.add_argument("--n", type=int)
 
-    p = subs.add_parser("pick", help="decide Pick-matrix feasibility for nodes and targets")
-    p.add_argument("--nodes", required=True, help="semicolon list of nodes; coordinates comma separated")
+    p = command("pick", _cmd_pick, "decide Pick-matrix feasibility for nodes and targets", kernel)
+    p.add_argument("--nodes", required=True,
+                   help="semicolon list of nodes; coordinates comma separated")
     p.add_argument("--targets", required=True, help="semicolon list of target values")
-    p.add_argument("--a", help="kernel a coefficients (comma list)")
-    p.add_argument("--b", help="kernel b coefficients (comma list)")
-    p.add_argument("--kernel", help="named kernel: ones (alias szego)")
-    p.add_argument("--n-terms", type=int, default=256, dest="n_terms")
     p.add_argument("--dimension", type=int, default=0, help="ball dimension (default: inferred)")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--kernel-tol", type=float, default=1e-10, dest="kernel_tol")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_pick)
+    p.add_argument("--kernel-tol", type=float, default=1e-10)
 
-    p = subs.add_parser("kernel-eval", help="evaluate a kernel power series with a certified tail")
+    p = command("kernel-eval", _cmd_kernel_eval,
+                "evaluate a kernel power series with a certified tail", kernel)
     p.add_argument("--u", required=True, help="evaluation point (complex)")
-    p.add_argument("--a", help="kernel a coefficients")
-    p.add_argument("--b", help="kernel b coefficients")
-    p.add_argument("--kernel", help="named kernel: ones (alias szego)")
-    p.add_argument("--n-terms", type=int, default=256, dest="n_terms")
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_output(p)
-    p.set_defaults(handler=_cmd_kernel_eval)
 
-    p = subs.add_parser("orbit", help="breadth-first group orbit of a disc point")
-    p.add_argument("--z", default="0", help="base point")
+    p = command("orbit", _cmd_orbit,
+                "breadth-first group orbit of a disc point", orbit_base, table_format)
     p.add_argument("--L", "--max-length", type=int, required=True, dest="max_length")
-    p.add_argument("--preset", default="GAMMA3", choices=sorted(PRESETS))
     p.add_argument("--store", type=int, default=10, help="number of levels to keep point data for")
-    p.add_argument("--format", default="json", choices=("json", "csv"))
-    _add_output(p)
-    p.set_defaults(handler=_cmd_orbit)
 
-    p = subs.add_parser("blaschke", help="sphere-sum convergence diagnostics for an orbit")
-    p.add_argument("--z", default="0")
+    p = command("blaschke", _cmd_blaschke,
+                "sphere-sum convergence diagnostics for an orbit", orbit_base, table_format)
     p.add_argument("--L", "--max-length", type=int, required=True, dest="max_length")
-    p.add_argument("--preset", default="GAMMA3", choices=sorted(PRESETS))
-    p.add_argument("--format", default="json", choices=("json", "csv"))
-    _add_output(p)
-    p.set_defaults(handler=_cmd_blaschke)
 
-    p = subs.add_parser("separation", help="smallest orbit distance from a base point")
-    p.add_argument("--z", default="0")
+    p = command("separation", _cmd_separation,
+                "smallest orbit distance from a base point", orbit_base)
     p.add_argument("--L", "--max-length", type=int, default=8, dest="max_length")
-    p.add_argument("--preset", default="GAMMA3", choices=sorted(PRESETS))
-    _add_output(p)
-    p.set_defaults(handler=_cmd_separation)
 
-    p = subs.add_parser("encode-build", help="encode a word subset as a point configuration")
+    p = command("encode-build", _cmd_encode_build,
+                "encode a word subset as a point configuration", encoding, table_format)
     p.add_argument("--subset", required=True, help="comma list of words (e for identity)")
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--base", default="0")
-    p.add_argument("--preset", default="GAMMA3", choices=sorted(PRESETS))
-    p.add_argument("--format", default="json", choices=("json", "csv"))
     p.add_argument("--mask", action="store_true", help="omit labels from the export")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_encode_build)
 
-    p = subs.add_parser("encode-test", help="test two encoded subsets for translate equivalence")
-    p.add_argument("--subset-a", required=True, dest="subset_a", help="comma list of words")
-    p.add_argument("--subset-b", required=True, dest="subset_b", help="comma list of words")
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--search-length", type=int, required=True, dest="search_length")
+    p = command("encode-test", _cmd_encode_test,
+                "test two encoded subsets for translate equivalence", encoding)
+    p.add_argument("--subset-a", required=True, help="comma list of words")
+    p.add_argument("--subset-b", required=True, help="comma list of words")
+    p.add_argument("--search-length", type=int, required=True)
     p.add_argument("--mode", default="both", choices=("word", "geometric", "both"))
-    p.add_argument("--base", default="0")
-    p.add_argument("--preset", default="GAMMA3", choices=sorted(PRESETS))
-    _add_output(p)
-    p.set_defaults(handler=_cmd_encode_test)
 
-    p = subs.add_parser("turbulence-step", help="one ratio-scaling step with minimal root exponent")
+    p = command("turbulence-step", _cmd_turbulence_step,
+                "one ratio-scaling step with minimal root exponent")
     p.add_argument("--s", required=True, help="current ratio list (comma separated, in (0,1))")
     p.add_argument("--t", required=True, help="target ratio list")
     p.add_argument("--n1", type=int, required=True, help="index up to which ratios are rescaled")
     p.add_argument("--eps", type=float, required=True, help="deviation budget for the step")
-    p.add_argument("--n-max", type=int, default=2**20, dest="n_max")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_turbulence_step)
+    p.add_argument("--n-max", type=int, default=2**20)
 
-    p = subs.add_parser("da-inner", help="exact monomial inner product in the d-shift space")
+    p = command("da-inner", _cmd_da_inner, "exact monomial inner product in the d-shift space")
     p.add_argument("--alpha", required=True, help="comma list of exponents")
     p.add_argument("--beta", required=True, help="comma list of exponents")
-    _add_output(p)
-    p.set_defaults(handler=_cmd_da_inner)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        for name, value in vars(args).items():
-            if isinstance(value, str) and name != "output":
-                setattr(args, name, _load_arg(value))
-        return args.handler(args)
+        args = parser.parse_args(_expand_files(sys.argv[1:] if argv is None else argv))
+        payload, code = args.handler(args)
+        _emit(args, payload)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,8 +182,10 @@ def min_eigenvalue(matrix, tol: float = 1e-9) -> PsdReport:
     Accepts a `HermitianMatrix` or any square array Hermitian within
     1e-9 (relative to ``max(1, sup-norm)``); the matrix is symmetrized
     before the eigensolve.  The verdict tolerance is
-    ``tol * max(1, sup_norm)``.
+    ``tol * max(1, sup_norm)``; ``tol`` must be finite and ``>= 0``.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if isinstance(matrix, HermitianMatrix):
         herm = matrix
     else:
@@ -215,8 +217,11 @@ def gram_and_irreducibility(
     Returns ``(G, verdict)`` with ``G_ij = K(z_i, z_j)``.  The verdict is
     true when every entry has modulus above ``tol`` (no orthogonal pair)
     and every 2x2 principal minor ``G_ii G_jj - |G_ij|^2`` exceeds
-    ``tol`` (no pair of proportional sections).
+    ``tol`` (no pair of proportional sections); ``tol`` must be finite
+    and ``>= 0``.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     pts, arr = _ball_nodes((p if np.ndim(p) else (p,) for p in points), dimension, "point")
     if not pts:
         raise ValueError("need at least one point")

@@ -360,8 +360,10 @@ def check_admissible_log_convex(a: CoefficientSequence, tol: float = 1e-6) -> Ad
     nonincreasing; last ratio ``<= 1 + tol``.  With exact input the
     monotonicity comparison is exact; in floating mode a relative slack
     of 1e-12 absorbs rounding.  A single-term sequence has no ratios and
-    its last ratio is reported as 1.
+    its last ratio is reported as 1.  ``tol`` must be ``>= 0``.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if any(t <= 0 for t in a.terms):
         raise ValueError("a must have strictly positive terms")
     a0_is_one = a.terms[0] == 1
@@ -421,8 +423,10 @@ def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: floa
     search bisects term indices.  The sums run Horner's rule from the
     top term down, over the entries that still need terms.  Every step
     acts on whole arrays of one value per entry; nothing of size
-    entries x terms is built.
+    entries x terms is built.  ``tol`` must be ``> 0``.
     """
+    if not tol > 0:
+        raise ValueError(f"kernel tolerance must be > 0, got {tol!r}")
     mod_u = np.abs(u)
     worst = float(np.max(mod_u, initial=0.0))
     if not worst < 1.0:
@@ -611,8 +615,8 @@ def turbulence_step(
         raise ValueError("n1 must satisfy 0 <= n1 < len(s)")
     if len(t.terms) <= n1:
         raise ValueError("t must cover indices 0..n1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
 
@@ -629,26 +633,21 @@ def turbulence_step(
                 f"prod(s/t) * s[n1+1] = {endpoint:.6g} >= 1 for every exponent"
             )
 
-    if _scaling_deviation(log_ratios, 1) < eps:
-        n_exp = 1
-    else:
-        hi = 1
-        while True:
-            hi *= 2
-            if hi > n_max:
-                raise ScalingStepError(
-                    f"no exponent <= {n_max} brings the deviation below eps={eps:g}"
-                )
-            if _scaling_deviation(log_ratios, hi) < eps:
-                break
-        lo = hi // 2  # fails; hi passes
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _scaling_deviation(log_ratios, mid) < eps:
-                hi = mid
-            else:
-                lo = mid
-        n_exp = hi
+    # double hi up to n_max until it passes, then bisect (lo, hi]; lo = 0 fails
+    lo, hi = 0, 1
+    while not _scaling_deviation(log_ratios, hi) < eps:
+        if hi >= n_max:
+            raise ScalingStepError(
+                f"no exponent <= {n_max} brings the deviation below eps={eps:g}"
+            )
+        lo, hi = hi, min(2 * hi, n_max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _scaling_deviation(log_ratios, mid) < eps:
+            hi = mid
+        else:
+            lo = mid
+    n_exp = hi
 
     g = [math.exp(l / n_exp) for l in log_ratios]
     g.append(math.exp(-total_log / n_exp))

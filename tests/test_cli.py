@@ -157,6 +157,17 @@ def test_pick_requires_some_kernel(capsys):
     assert code == 2 and "kernel" in err
 
 
+def test_pick_nan_tolerance_is_a_domain_error(capsys):
+    # NaN used to fail the PSD comparison and report "feasible": false
+    code, out, err = run_cli(
+        capsys, "pick", "--kernel", "ones", "--nodes", "0;0.5", "--targets", "0;0.3",
+        "--tol", "nan",
+    )
+    assert code == 1
+    assert not out
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_kernel_eval_certified_value(capsys):
     payload = run_json(capsys, "kernel-eval", "--kernel", "szego", "--u", "0.5")
     assert payload["certified"] is True
@@ -396,6 +407,34 @@ def test_at_file_text_is_not_expanded_again(capsys, tmp_path):
     assert code == 2 and err.startswith("error: cannot parse complex number")
 
 
+def test_at_file_works_for_every_value_argument(capsys, tmp_path):
+    for name, text in [("L", "3"), ("preset", "LAMBDA2"), ("tol", "0.05"), ("z", "-0.3+0.1i")]:
+        (tmp_path / name).write_text(text + "\n")
+    # typed and choice values are read before argparse converts them
+    assert run_json(capsys, "orbit", "--L", f"@{tmp_path}/L") == run_json(
+        capsys, "orbit", "--L", "3"
+    )
+    assert run_json(capsys, "blaschke", "--L", "4", f"--preset=@{tmp_path}/preset") == run_json(
+        capsys, "blaschke", "--L", "4", "--preset", "LAMBDA2"
+    )
+    eval_args = ("kernel-eval", "--a", "1,0.5,0.25", "--u", "0.3+0.1i", "--tol")
+    assert run_json(capsys, *eval_args, f"@{tmp_path}/tol") == run_json(capsys, *eval_args, "0.05")
+    # text starting with '-' is still the option's value
+    assert run_json(capsys, "separation", "--L", "2", "--z", f"@{tmp_path}/z") == run_json(
+        capsys, "separation", "--L", "2", "--z=-0.3+0.1i"
+    )
+
+
+def test_output_is_a_file_name_not_an_at_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _, stdout, _ = run_cli(capsys, "separation", "--L", "2")
+    for flag in (["--output", "@x"], ["--out", "@y"], ["--output=@z"]):
+        code, out, _ = run_cli(capsys, "separation", "--L", "2", *flag)
+        assert code == 0 and not out
+    for name in ("@x", "@y", "@z"):
+        assert (tmp_path / name).read_text() == stdout
+
+
 def test_output_flag_writes_the_same_bytes(capsys, tmp_path):
     out_path = tmp_path / "result.json"
     code, _, _ = run_cli(
@@ -428,12 +467,34 @@ def test_argparse_usage_failures(capsys):
     with pytest.raises(SystemExit) as info:
         main(["orbit", "--L", "2", "--preset", "NO_SUCH_PRESET"])
     assert info.value.code == 2
+    pick = ["pick", "--nodes", "0", "--targets", "0"]
+    for kernel in (["--kernel", "bergman"], ["--a", "1,1", "--kernel", "ones"]):
+        with pytest.raises(SystemExit) as info:
+            main(pick + kernel)  # an unknown name, or two kernel sources
+        assert info.value.code == 2
     with pytest.raises(SystemExit) as info:
         main(["--help"])
     assert info.value.code == 0
     out = capsys.readouterr().out
     for name in ("coeffs", "pick", "blaschke", "encode-test", "turbulence-step"):
         assert name in out
+
+
+COMMANDS = [
+    "coeffs", "admissible", "growth", "pick", "kernel-eval", "orbit", "blaschke",
+    "separation", "encode-build", "encode-test", "turbulence-step", "da-inner",
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_has_help_and_output(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--output" in out
+    takes_preset = command in ("orbit", "blaschke", "separation", "encode-build", "encode-test")
+    assert ("--preset" in out) is takes_preset
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

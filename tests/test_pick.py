@@ -29,7 +29,10 @@ from pickdisc.seqkernel import (
     CoefficientSequence,
     RatioSequence,
     UncertifiedEvaluationError,
+    check_admissible_log_convex,
+    kernel_eval,
     log_convex_from_ratios,
+    turbulence_step,
 )
 
 ONES = CoefficientSequence.ones(256)
@@ -250,6 +253,41 @@ def test_report_round_trips_to_dict():
         "is_psd": True,
         "tolerance": report.tolerance,
     }
+
+
+_TWO_POINTS = PickProblem(ONES, 1, ((0.0,), (0.5,)), (0.0, 0.3))
+_STEP = (RatioSequence((0.5,) * 4), RatioSequence((0.7,) * 4), 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call, accepts",
+    [
+        # tail tolerances: the certified tail must be < tol, so tol > 0
+        (lambda tol: kernel_eval(ONES, 0.5, tol=tol), lambda tol: tol > 0),
+        (lambda tol: pick_feasible(_TWO_POINTS, kernel_tol=tol), lambda tol: tol > 0),
+        # verdict tolerances: 0 is exact, an infinite slack decides nothing
+        (lambda tol: min_eigenvalue(np.eye(2), tol=tol), lambda tol: 0 <= tol < math.inf),
+        (lambda tol: pick_feasible(_TWO_POINTS, tol=tol), lambda tol: 0 <= tol < math.inf),
+        (
+            lambda tol: gram_and_irreducibility(ONES, 1, (0.2, 0.5), tol=tol),
+            lambda tol: 0 <= tol < math.inf,
+        ),
+        (lambda tol: check_admissible_log_convex(ONES, tol=tol), lambda tol: tol >= 0),
+        (lambda eps: turbulence_step(*_STEP, eps), lambda eps: eps > 0),
+    ],
+    ids=["kernel_eval", "pick-kernel_tol", "min_eigenvalue", "pick-tol", "gram", "admissible",
+         "turbulence_step"],
+)
+def test_bad_tolerances_are_refused_where_they_are_owned(call, accepts, bad):
+    # unchecked, a NaN tolerance turned every comparison false: a wrong
+    # verdict (pick, admissible), an "uncertified" evaluation, or a search
+    # that ran to n_max
+    if accepts(bad):
+        call(bad)
+    else:
+        with pytest.raises(ValueError, match=r"(tol|tolerance|eps) must be .*, got "):
+            call(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,18 @@ def test_turbulence_step_minimality():
             turbulence_step(s, t, 2, 0.01, n_max=n_exp - 1)
 
 
+@pytest.mark.parametrize("slack", [0, 1])
+def test_turbulence_step_finds_exponents_between_powers_of_two(slack):
+    # the least exponent here is 102; a cap of 102 or 103 must still find
+    # it, not stop the doubling at 64 and give up before 128
+    s = RatioSequence((0.5,) * 6)
+    t = RatioSequence((0.7,) * 6)
+    assert turbulence_step(s, t, 1, 0.01)[1] == 102
+    assert turbulence_step(s, t, 1, 0.01, n_max=102 + slack)[1] == 102
+    with pytest.raises(ScalingStepError):
+        turbulence_step(s, t, 1, 0.01, n_max=101)
+
+
 def test_turbulence_step_infeasible_endpoint():
     # prod(s_k/t_k) * s_{n1+1} = 8 * 0.5 = 4 >= 1: no exponent works
     s = RatioSequence((0.5, 0.5, 0.5, 0.5))
