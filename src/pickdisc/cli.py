@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -66,7 +67,10 @@ def _expand_files(argv: list) -> list:
     """Replace each ``@path`` option value by the file's text, once.
 
     ``--flag @path`` and ``--flag=@path`` both become ``--flag=<text>``,
-    so text starting with ``-`` still parses as a value.  ``--output``
+    so text starting with ``-`` still parses as a value.  A separate
+    value that starts like a negative number (``-`` then a digit or
+    ``.``, as in ``--z -0.3+0.1i``) is joined to its flag the same way,
+    since argparse reads such a complex number as an option.  ``--output``
     and its abbreviations name a file to write and are left alone.
     """
     out, i = [], 0
@@ -75,8 +79,9 @@ def _expand_files(argv: list) -> list:
         i += 1
         flag, eq, value = tok.partition("=")
         if len(flag) > 2 and flag.startswith("--") and not "--output".startswith(flag):
-            if not eq and i < len(argv) and argv[i].startswith("@"):
+            if not eq and i < len(argv) and re.match(r"@|-[\d.]", argv[i]):
                 value = argv[i]
+                tok = f"{flag}={value}"
                 i += 1
             if value.startswith("@"):
                 try:

@@ -99,6 +99,7 @@ __all__ = [
 # error; the exact distance test then decides.
 _SLAB_PAD = 1e-15
 _RHO_PAD = 1e-3
+_ANCHOR_BLOCK = 2**12  # anchors per `_foreign_counts` query
 
 
 class EncodingError(ValueError):
@@ -283,7 +284,7 @@ class _Reference(NamedTuple):
 @lru_cache(maxsize=16)
 def _reference(params: EncodingParams) -> _Reference:
     """The window's matrices, family values and labels, and the base checks."""
-    _, mats, rows = zip(*_spheres(params.preset, params.window, params.window))
+    _, mats, _, rows = zip(*_spheres(params.preset, params.window, params.window))
     mats = np.concatenate(mats)
     alpha, beta = _coefficients(mats)
     grid = _moebius(alpha[:, None], beta[:, None], np.array(params.quadruple(), dtype=complex))
@@ -396,8 +397,14 @@ def _foreign_counts(
         # every ball is the whole disc; counted rather than listing all
         # anchor-point pairs
         return lookup.points.shape[0] - np.bincount(owner, minlength=n_words)
-    ci, k = lookup.within_rho(anchors, half)
-    return np.bincount(ci[owner[k] != ci], minlength=n_words)
+    # anchors are queried in blocks, so the candidate pairs of all of
+    # them never exist at once
+    counts = np.empty(n_words, dtype=np.intp)
+    for lo in range(0, n_words, _ANCHOR_BLOCK):
+        block = anchors[lo : lo + _ANCHOR_BLOCK]
+        ci, k = lookup.within_rho(block, half)
+        counts[lo : lo + len(block)] = np.bincount(ci[owner[k] != ci + lo], minlength=len(block))
+    return counts
 
 
 def _check_isolation(ref: _Reference, added: _SortedIndex, owner: np.ndarray, eps: float) -> None:

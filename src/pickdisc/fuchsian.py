@@ -25,10 +25,14 @@ a closed form (`_position`), and a sphere's word strings are built from
 its letter rows in one step (`_row_strings`), so the encoding layer
 makes `Word` objects only for the words it returns or searches.
 The expansion indexes letters by rank: each
-word's last letter picks its three children from a rank table, and a
-sphere is grown with one multiply per child slot against the generator
-stack.  Widths are checked before each multiplication and overflow
-raises instead of wrapping.  Orbit points
+word's last letter picks its three children from a rank table, and
+`_children` grows a block of words with one multiply per child slot
+against the generator stack.  Widths are checked before each
+multiplication and overflow raises instead of wrapping.
+`orbit_points` evaluates each sphere in blocks of `_BLOCK` matrices,
+and grows an unstored deepest sphere from blocks of its parents, so
+no sphere-sized float array other than ``1 - |point|`` is built and
+the deepest sphere's matrices never exist all at once.  Orbit points
 are produced by conjugating the half-plane action to the disc, and
 ``1 - |point|`` is computed from the identity
 ``|den|^2 - |num|^2 = (|alpha|^2 - |beta|^2)(1 - |z|^2)``, which avoids
@@ -77,6 +81,7 @@ _CHILD_RANKS = np.array([[c for c in range(4) if c != r ^ 1] for r in range(4)],
 
 _INT64_GUARD = 2**60  # the largest entry ever multiplied, whatever the generators
 _BOUNDARY_GUARD = 1e-15  # orbit points must keep 1 - |point| above this
+_BLOCK = 2**16  # matrices per evaluation block of `orbit_points`
 
 
 def _reduce_concat(left: tuple, right: tuple) -> tuple:
@@ -171,6 +176,22 @@ class GroupPreset:
     def matrix_for(self, letter: int) -> Mat2:
         return self._letter_matrices[letter]
 
+    @cached_property
+    def _stack(self) -> tuple:
+        """The letter matrices in rank order as one int64 array, and the parent bound.
+
+        A child entry ``m[i,0] g[0,j] + m[i,1] g[1,j]`` is at most the
+        parent's peak times the largest absolute column sum of a letter
+        matrix, so parents with no entry above the bound cannot make a
+        child overflow int64.
+        """
+        gens = np.array(
+            [self.matrix_for(letter).entries() for letter in _ALPHABET], dtype=np.int64
+        ).reshape(4, 2, 2)
+        gens.setflags(write=False)
+        limit = min(_INT64_GUARD, np.iinfo(np.int64).max // int(np.abs(gens).sum(axis=1).max()))
+        return gens, limit
+
 
 GAMMA3 = GroupPreset("GAMMA3", Mat2(1, 3, 0, 1), Mat2(1, 0, 3, 1))
 LAMBDA2 = GroupPreset("LAMBDA2", Mat2(1, 2, 0, 1), Mat2(1, 0, 2, 1))
@@ -183,7 +204,7 @@ def enumerate_words(max_length: int) -> list:
         raise ValueError("max_length must be >= 0")
     # the letter rows are the same under every preset
     spheres = _spheres(GAMMA3, max_length, max_length)
-    return [w for _, _, rows in spheres for w in _row_words(rows)]
+    return [w for _, _, _, rows in spheres for w in _row_words(rows)]
 
 
 def word_to_matrix(word: Word, preset: GroupPreset) -> Mat2:
@@ -305,48 +326,75 @@ def _position(word: Word) -> int:
     return 2 * 3 ** (len(ranks) - 1) - 1 + pos
 
 
+def _children(mats: np.ndarray, last: np.ndarray, preset: GroupPreset) -> tuple:
+    """The children of a block of words, parent-major: ``(matrices, last ranks)``.
+
+    This is the package's one child multiply.  ``_CHILD_RANKS`` gives
+    the three ranks that may follow each word's last rank, and each
+    child slot takes one multiply of the parents by the generators of
+    that slot.  Before it, the parents' largest entry is checked
+    against a bound under which no child entry can overflow int64.
+    """
+    gens, limit = preset._stack
+    peak = int(np.abs(mats).max())
+    if peak > limit:
+        raise OverflowError(
+            f"matrix entries reached {peak}; the vectorized path would overflow int64"
+        )
+    children = _CHILD_RANKS[last]
+    out = np.empty((mats.shape[0], 3, 2, 2), dtype=np.int64)
+    for j in range(3):
+        np.matmul(mats, gens[children[:, j]], out=out[:, j])
+    return out.reshape(-1, 2, 2), children.reshape(-1)
+
+
 def _spheres(preset: GroupPreset, max_length: int, letters_up_to: int) -> Iterator[tuple]:
-    """The word tree breadth first: ``(length, matrices, letter rows)`` per sphere.
+    """The word tree breadth first: ``(length, matrices, last ranks, letter rows)`` per sphere.
 
     This is the package's one letter expansion.  Each sphere's words
-    come in canonical order as int64 matrices and as an int8 array of
-    letter rows; spheres longer than ``letters_up_to`` give ``None``
-    for the rows.  A word's last letter is kept as its rank, and
-    ``_CHILD_RANKS`` gives the three ranks that may follow it, so each
-    later sphere takes one multiply per child slot, parent by the
-    generator of that slot, written parent-major into one array.
-    Before each multiply the parents' largest entry is checked against
-    a bound under which no child entry can overflow int64.
+    come in canonical order as int64 matrices, the rank of each word's
+    last letter (``None`` for the identity) and an int8 array of letter
+    rows; spheres longer than ``letters_up_to`` give ``None`` for the
+    rows.  Each later sphere is the `_children` of the whole sphere
+    before it.
     """
-    gens = np.array(
-        [preset.matrix_for(letter).entries() for letter in _ALPHABET], dtype=np.int64
-    ).reshape(4, 2, 2)
-    # a child entry m[i,0] g[0,j] + m[i,1] g[1,j] is at most the parent's
-    # peak times the largest absolute column sum of a letter matrix
-    limit = min(_INT64_GUARD, np.iinfo(np.int64).max // int(np.abs(gens).sum(axis=1).max()))
-    mats = np.eye(2, dtype=np.int64)[None]
+    mats, last = np.eye(2, dtype=np.int64)[None], None
     rows = np.empty((1, 0), dtype=np.int8)
-    yield 0, mats, rows if letters_up_to >= 0 else None
+    yield 0, mats, last, rows if letters_up_to >= 0 else None
     for length in range(1, max_length + 1):
         if length == 1:
-            mats, last = gens, np.arange(4, dtype=np.int8)
+            mats, last = preset._stack[0], np.arange(4, dtype=np.int8)
         else:
-            peak = int(np.abs(mats).max())
-            if peak > limit:
-                raise OverflowError(
-                    f"matrix entries reached {peak}; the vectorized path would overflow int64"
-                )
-            children = _CHILD_RANKS[last]
-            out = np.empty((mats.shape[0], 3, 2, 2), dtype=np.int64)
-            for j in range(3):
-                np.matmul(mats, gens[children[:, j]], out=out[:, j])
-            mats, last = out.reshape(-1, 2, 2), children.reshape(-1)
+            mats, last = _children(mats, last, preset)
         if length <= letters_up_to:
             parents = np.repeat(rows, mats.shape[0] // rows.shape[0], axis=0)
             rows = np.concatenate([parents, _LETTER_CODES[last][:, None]], axis=1)
         else:
             rows = None
-        yield length, mats, rows
+        yield length, mats, last, rows
+
+
+def _sphere_blocks(preset: GroupPreset, max_length: int, store_limit: int) -> Iterator[tuple]:
+    """``(length, size, matrix blocks, letter rows)`` per sphere, for `orbit_points`.
+
+    A sphere's blocks come in canonical order, at most `_BLOCK`
+    matrices each, and each must be used before the next sphere is
+    asked for.  When the deepest sphere is not stored, each of its
+    blocks is grown from a block of parents (children are written
+    parent-major, so they form a contiguous slice of the sphere), and
+    its matrices never exist all at once.
+    """
+    grow = 2 <= max_length and store_limit < max_length
+    for length, mats, last, rows in _spheres(preset, max_length - grow, store_limit):
+        blocks = (mats[i : i + _BLOCK] for i in range(0, len(mats), _BLOCK))
+        yield length, mats.shape[0], blocks, rows
+    if grow:
+        step = max(1, _BLOCK // 3)
+        blocks = (
+            _children(mats[i : i + step], last[i : i + step], preset)[0]
+            for i in range(0, len(mats), step)
+        )
+        yield max_length, 3 * mats.shape[0], blocks, None
 
 
 def orbit_points(
@@ -361,6 +409,12 @@ def orbit_points(
     Spheres up to ``store_limit`` keep their words and points; deeper
     spheres keep aggregates only (sums, minima, sizes).  The total word
     count ``2 * 3**max_length - 1`` must stay within ``word_cap``.
+
+    Each sphere is evaluated in blocks of `_BLOCK` matrices into one
+    array of ``1 - |point|``, whose sum is taken over the whole sphere
+    at once (the summation order fixes the sums bit for bit), and the
+    minimum distance is kept as a running minimum.  An unstored deepest
+    sphere is grown block by block from its parents.
     """
     z = _disc_point(z, "base point must lie strictly inside the disc")
     if max_length < 0:
@@ -374,23 +428,30 @@ def orbit_points(
 
     levels = []
     cumulative = 0.0
-    for length, mats, letters in _spheres(preset, max_length, store_limit):
+    for length, size, blocks, letters in _sphere_blocks(preset, max_length, store_limit):
+        store = length <= store_limit
         if length == 0:
             points, one_minus, min_rho = np.array([z]), np.array([sigma0]), math.inf
         else:
-            points, one_minus = _eval_points(mats, z)
-            if float(one_minus.min()) <= _BOUNDARY_GUARD:
-                raise RuntimeError(
-                    f"orbit point at sphere {length} is numerically on the boundary"
-                )
-            min_rho = float(_pseudo_hyperbolic(z, points).min())
+            points = np.empty(size, dtype=complex) if store else None
+            one_minus, min_rho, lo = np.empty(size), math.inf, 0
+            for mats in blocks:
+                hi = lo + mats.shape[0]
+                w, one_minus[lo:hi] = _eval_points(mats, z)
+                if float(one_minus[lo:hi].min()) <= _BOUNDARY_GUARD:
+                    raise RuntimeError(
+                        f"orbit point at sphere {length} is numerically on the boundary"
+                    )
+                min_rho = min(min_rho, float(_pseudo_hyperbolic(z, w).min()))
+                if store:
+                    points[lo:hi] = w
+                lo = hi
         sigma = float(one_minus.sum())
         cumulative += sigma
-        store = length <= store_limit
         levels.append(
             OrbitLevel(
                 length=length,
-                size=int(mats.shape[0]),
+                size=size,
                 sigma=sigma,
                 cumulative=cumulative,
                 min_rho=min_rho,

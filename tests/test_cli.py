@@ -425,6 +425,24 @@ def test_at_file_works_for_every_value_argument(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (("separation", "--L", "2"), "--z", "-0.3+0.1i"),
+        (("orbit", "--L", "2"), "--z", "-.3-0.1i"),
+        (("kernel-eval", "--kernel", "ones"), "--u", "-0.25+0.25i"),
+        (("encode-build", "--subset", "e,a", "--window", "2"), "--base", "-0.1+0.05i"),
+        (("pick", "--kernel", "ones", "--targets", "0;0.2"), "--nodes", "-0.1+0.2i;0.3"),
+        (("pick", "--kernel", "ones", "--nodes", "0;0.5"), "--targets", "-0.1;0.2"),
+    ],
+)
+def test_a_negative_value_may_follow_its_flag(capsys, command, flag, value):
+    # argparse alone reads '-0.3+0.1i' as an option and exits 2
+    spaced = run_cli(capsys, *command, flag, value)
+    joined = run_cli(capsys, *command, f"{flag}={value}")
+    assert spaced == joined and spaced[0] == 0 and spaced[1]
+
+
 def test_output_is_a_file_name_not_an_at_file(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _, stdout, _ = run_cli(capsys, "separation", "--L", "2")

@@ -416,6 +416,23 @@ def test_index_matches_the_brute_force_oracle(window, pairs):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("half", [PARAMS.eps / 2.0, 0.84, 0.9, 0.97])
+def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
+    # orbit points lie at least 2 * eps apart, so only the larger balls
+    # hold foreign points
+    ref = encode._reference(PARAMS)
+    anchors = ref.grid[:, 0]
+    owner = np.repeat(np.arange(anchors.shape[0]), 3)
+    foreign = owner[None, :] != np.arange(anchors.shape[0])[:, None]
+    brute = ((_oracle_rho(anchors, ref.base.points) < half) & foreign).sum(axis=1)
+    monkeypatch.setattr(encode, "_ANCHOR_BLOCK", anchors.shape[0])
+    whole = encode._foreign_counts(ref.base, owner, anchors, half)
+    monkeypatch.setattr(encode, "_ANCHOR_BLOCK", 7)  # blocks end mid-sphere, the last is ragged
+    blocked = encode._foreign_counts(ref.base, owner, anchors, half)
+    assert np.array_equal(blocked, whole) and np.array_equal(blocked, brute)
+    assert blocked.any() == (half > 2.0 * PARAMS.eps)
+
+
 def test_index_matches_the_oracle_at_the_core_tolerance():
     # a three-point solve put mapped core points of this translate about
     # 1.1e-8 from their images, beyond a Euclidean 1e-8; the word's own map

@@ -236,7 +236,7 @@ def test_spheres_guard_against_int64_overflow():
 
     huge = GroupPreset("HUGE", Mat2(1, 2**61, 0, 1), Mat2(1, 0, 1, 1))
     spheres = _spheres(huge, 2, 2)
-    assert [length for length, _, _ in itertools.islice(spheres, 2)] == [0, 1]
+    assert [length for length, _, _, _ in itertools.islice(spheres, 2)] == [0, 1]
     with pytest.raises(OverflowError):
         next(spheres)
 
@@ -244,14 +244,16 @@ def test_spheres_guard_against_int64_overflow():
 @pytest.mark.parametrize("preset", [GAMMA3, LAMBDA2], ids=lambda p: p.name)
 @pytest.mark.parametrize("letters_up_to", [-1, 3, 6])
 def test_spheres_match_exact_matrices_and_words(preset, letters_up_to):
-    from pickdisc.fuchsian import _position, _row_strings, _row_words, _spheres
+    from pickdisc.fuchsian import _RANK, _position, _row_strings, _row_words, _spheres
 
     words = enumerate_words(6)
     assert all(_position(w) == i for i, w in enumerate(words))
-    for length, mats, rows in _spheres(preset, 6, letters_up_to):
+    for length, mats, last, rows in _spheres(preset, 6, letters_up_to):
         sphere = [w for w in words if len(w) == length]
         exact = [list(word_to_matrix(w, preset).entries()) for w in sphere]
         assert mats.dtype == np.int64 and mats.reshape(-1, 4).tolist() == exact
+        if length:
+            assert last.tolist() == [_RANK[w.letters[-1]] for w in sphere]
         if length > letters_up_to:
             assert rows is None
         else:
@@ -266,11 +268,104 @@ def test_spheres_raise_before_large_generators_wrap_int64():
 
     big = GroupPreset("BIG", Mat2(1, 1000, 0, 1), Mat2(1, 0, 1000, 1))
     spheres = _spheres(big, 7, 7)
-    for _length, mats, rows in itertools.islice(spheres, 7):
+    for _length, mats, _last, rows in itertools.islice(spheres, 7):
         exact = [list(word_to_matrix(w, big).entries()) for w in _row_words(rows)]
         assert mats.reshape(-1, 4).tolist() == exact
     with pytest.raises(OverflowError):
         next(spheres)
+
+
+# ---------------------------------------------------------------------------
+# block evaluation
+# ---------------------------------------------------------------------------
+#
+# `orbit_points` evaluates each sphere in blocks of `_BLOCK` matrices and
+# grows an unstored deepest sphere from blocks of parents.  With a small
+# odd block the blocks end mid-sphere and the last one is ragged; every
+# figure must still equal a whole-sphere evaluation bit for bit.
+
+def _whole_sphere_levels(z, max_length, preset, store_limit):
+    """(size, sigma, cumulative, min_rho, points, one_minus, rows) per sphere, unblocked."""
+    from pickdisc.fuchsian import _eval_points, _spheres
+    from pickdisc.hypgeo import _pseudo_hyperbolic
+
+    levels, cumulative = [], 0.0
+    for length, mats, _, rows in _spheres(preset, max_length, store_limit):
+        if length == 0:
+            points, one_minus, min_rho = np.array([z]), np.array([1.0 - abs(z)]), math.inf
+        else:
+            points, one_minus = _eval_points(mats, z)
+            min_rho = float(_pseudo_hyperbolic(z, points).min())
+        sigma = float(one_minus.sum())
+        cumulative += sigma
+        levels.append((mats.shape[0], sigma, cumulative, min_rho, points, one_minus, rows))
+    return levels
+
+
+@pytest.mark.parametrize("preset", [GAMMA3, LAMBDA2], ids=lambda p: p.name)
+@pytest.mark.parametrize("store_limit", [-1, 0, 3, 6])
+def test_block_evaluation_is_bit_identical_to_whole_spheres(monkeypatch, preset, store_limit):
+    from pickdisc import fuchsian
+
+    z = 0.1 + 0.05j
+    oracle = _whole_sphere_levels(z, 6, preset, store_limit)
+    monkeypatch.setattr(fuchsian, "_BLOCK", 7)
+    table = orbit_points(z, 6, preset, store_limit=store_limit)
+    assert len(table.levels) == len(oracle)
+    for level, (size, sigma, cumulative, min_rho, points, one_minus, rows) in zip(
+        table.levels, oracle
+    ):
+        assert (level.size, level.sigma, level.cumulative, level.min_rho) == (
+            size, sigma, cumulative, min_rho
+        )
+        if level.length <= store_limit:
+            assert np.array_equal(level.points, points)
+            assert np.array_equal(level.one_minus, one_minus)
+            assert np.array_equal(level.letters, rows)
+        else:
+            assert level.points is None and level.one_minus is None and level.letters is None
+
+
+@pytest.mark.parametrize("store_limit", [0, 7])
+def test_orbit_points_raise_on_int64_overflow_in_any_block(monkeypatch, store_limit):
+    # entries of 1000 pass the int64 guard up to sphere 6 only; the
+    # boundary guard is lifted so that the overflow guard is reached.
+    # With blocks of 7 the first parent blocks of sphere 7 are still
+    # small, so the unstored sphere raises mid-sphere.
+    from pickdisc import fuchsian
+
+    big = GroupPreset("BIG", Mat2(1, 1000, 0, 1), Mat2(1, 0, 1000, 1))
+    monkeypatch.setattr(fuchsian, "_BOUNDARY_GUARD", 0.0)
+    monkeypatch.setattr(fuchsian, "_BLOCK", 7)
+    assert orbit_points(0.1, 6, big, store_limit=store_limit).levels[6].size == 4 * 3**5
+    with pytest.raises(OverflowError):
+        orbit_points(0.1, 7, big, store_limit=store_limit)
+
+
+@pytest.mark.parametrize("store_limit", [0, 3])
+def test_orbit_points_raise_on_boundary_points_in_a_grown_sphere(monkeypatch, store_limit):
+    # entries of 1000 put sphere 3 within about 1e-18 of the boundary
+    from pickdisc import fuchsian
+
+    big = GroupPreset("BIG", Mat2(1, 1000, 0, 1), Mat2(1, 0, 1000, 1))
+    monkeypatch.setattr(fuchsian, "_BLOCK", 7)
+    assert orbit_points(0.1, 2, big, store_limit=store_limit).levels[2].size == 12
+    with pytest.raises(RuntimeError, match="sphere 3 "):
+        orbit_points(0.1, 3, big, store_limit=store_limit)
+
+
+def test_orbit_points_memory_stays_below_a_sphere():
+    # whole-sphere evaluation peaked at about 100 MB here; the blocks and
+    # the grown deepest sphere keep it near 23 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        orbit_points(0.1 + 0.05j, 12, GAMMA3, store_limit=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # ---------------------------------------------------------------------------
