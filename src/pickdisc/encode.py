@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, product
+from itertools import chain, product
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -99,7 +99,7 @@ __all__ = [
 # error; the exact distance test then decides.
 _SLAB_PAD = 1e-15
 _RHO_PAD = 1e-3
-_ANCHOR_BLOCK = 2**12  # anchors per `_foreign_counts` query
+_PAIR_BUDGET = 2**18  # slab candidate pairs per `_foreign_counts` query
 
 
 class EncodingError(ValueError):
@@ -265,31 +265,31 @@ class _Reference(NamedTuple):
     """What every configuration built from one params shares.
 
     The window is held as arrays in canonical word order: the matrices
-    of `fuchsian._spheres` and the four family values of each word, with
-    the labels read off its letter rows.  The base of a configuration is
-    the anchor and the first two satellites of every window word; only
-    the third satellites depend on the subset.  The base's isolation
-    counts and distinctness are checked here once, so a build checks
-    only its subset's points.
+    of `fuchsian._spheres` and the four family values of each word.  The
+    base of a configuration is the anchor and the first two satellites
+    of every window word, with their labels read off the letter rows;
+    only the third satellites depend on the subset, and a build splices
+    them into the base.  The base's isolation counts and distinctness
+    are checked here once, so a build checks only its subset's points.
     """
 
     mats: np.ndarray
     grid: np.ndarray  # words x families, the four values of each word
-    labels: tuple  # (word string, family) for every grid entry, word-major
-    base: "_SortedIndex"
+    labels: tuple  # (word string, family) for every base point, word-major
+    base: "_SortedIndex"  # the base points, word-major
     foreign: np.ndarray  # per anchor, base points of other words with rho < eps/2
     coincide: bool  # whether two base points coincide
 
 
 @lru_cache(maxsize=16)
 def _reference(params: EncodingParams) -> _Reference:
-    """The window's matrices, family values and labels, and the base checks."""
+    """The window's matrices and family values, the base and its labels, and the base checks."""
     _, mats, _, rows = zip(*_spheres(params.preset, params.window, params.window))
     mats = np.concatenate(mats)
     alpha, beta = _coefficients(mats)
     grid = _moebius(alpha[:, None], beta[:, None], np.array(params.quadruple(), dtype=complex))
     grid.setflags(write=False)
-    labels = tuple(product([text for r in rows for text in _row_strings(r)], range(4)))
+    labels = tuple(product([text for r in rows for text in _row_strings(r)], range(3)))
     base = _SortedIndex(grid[:, :3].reshape(-1))
     owner = np.repeat(np.arange(grid.shape[0]), 3)
     return _Reference(
@@ -326,19 +326,24 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     satellites against the anchors (isolation) and against every point
     (distinctness).  The first failing anchor is reported whichever
     points fail it, and isolation is reported before distinctness.
+    Points and labels are word-major, families in order: each third
+    satellite is spliced into the base after its word's second satellite.
     """
     subset_set = _check_subset(subset, params.window)
     ref = _reference(params)
-    new = np.fromiter(map(_position, subset_set), dtype=np.intp, count=len(subset_set))
-    present = np.ones(ref.grid.shape, dtype=bool)  # word i carries family j
-    present[:, 3] = False
-    present[new, 3] = True
+    new = np.sort(np.fromiter(map(_position, subset_set), dtype=np.intp, count=len(subset_set)))
     added = _SortedIndex(ref.grid[new, 3])
     _check_isolation(ref, added, new, params.eps)
     _check_distinct(ref, added)
+    cuts = 3 * new + 3
+    pieces, lo = [], 0
+    for cut in cuts.tolist():
+        pieces += (ref.labels[lo:cut], [(ref.labels[cut - 3][0], 3)])
+        lo = cut
+    pieces.append(ref.labels[lo:])
     return Configuration(
-        points=ref.grid[present],  # word-major, families in order
-        labels=tuple(compress(ref.labels, present.reshape(-1).tolist())),
+        points=np.insert(ref.base.points, cuts, added.points),
+        labels=tuple(chain.from_iterable(pieces)),
         params=params,
     )
 
@@ -358,6 +363,12 @@ class _SortedIndex:
         self.order = np.argsort(points.real, kind="stable")
         self.re = points.real[self.order]
 
+    def slabs(self, centres: np.ndarray, radius) -> tuple:
+        """Per centre, the first sorted position of its slab and the slab's size."""
+        lo = np.searchsorted(self.re, centres.real - radius - _SLAB_PAD, side="left")
+        hi = np.searchsorted(self.re, centres.real + radius + _SLAB_PAD, side="right")
+        return lo, np.maximum(hi - lo, 0)
+
     def near(self, centres: np.ndarray, radius) -> tuple:
         """Pairs (centre index, point index) with ``|point - centre| <= radius``.
 
@@ -365,27 +376,31 @@ class _SortedIndex:
         centre by centre, each centre's points in order of real part.
         """
         radius = np.broadcast_to(radius, centres.shape)
-        lo = np.searchsorted(self.re, centres.real - radius - _SLAB_PAD, side="left")
-        hi = np.searchsorted(self.re, centres.real + radius + _SLAB_PAD, side="right")
-        counts = np.maximum(hi - lo, 0)
+        lo, counts = self.slabs(centres, radius)
         ci = np.repeat(np.arange(centres.shape[0]), counts)
         rank = np.arange(ci.shape[0]) - np.repeat(np.cumsum(counts) - counts - lo, counts)
         k = self.order[rank]
         keep = np.abs(self.points[k] - centres[ci]) <= radius[ci]
         return ci[keep], k[keep]
 
-    def within_rho(self, centres: np.ndarray, r: float) -> tuple:
-        """Pairs (centre index, point index) with ``rho(centre, point) < r``."""
-        if r >= 1.0:
-            disc_centres, radius = centres, 2.0  # the whole disc
-        else:
-            mod_sq = np.abs(centres) ** 2
-            shrink = 1.0 - r * r * mod_sq
-            disc_centres = centres * (1.0 - r * r) / shrink
-            radius = r * (1.0 - mod_sq) / shrink * (1.0 + _RHO_PAD) + _SLAB_PAD
-        ci, k = self.near(disc_centres, radius)
+    def within_rho(self, centres: np.ndarray, r: float, disc=None) -> tuple:
+        """Pairs (centre index, point index) with ``rho(centre, point) < r``.
+
+        ``disc`` is ``_rho_disc(centres, r)``, for a caller that has it.
+        """
+        ci, k = self.near(*(disc or _rho_disc(centres, r)))
         keep = _pseudo_hyperbolic(centres[ci], self.points[k]) < r
         return ci[keep], k[keep]
+
+
+def _rho_disc(centres: np.ndarray, r: float) -> tuple:
+    """Centres and radii of Euclidean discs holding the rho-balls of radius ``r``, padded."""
+    if r >= 1.0:
+        return centres, 2.0  # the whole disc
+    mod_sq = np.abs(centres) ** 2
+    shrink = 1.0 - r * r * mod_sq
+    disc_centres = centres * (1.0 - r * r) / shrink
+    return disc_centres, r * (1.0 - mod_sq) / shrink * (1.0 + _RHO_PAD) + _SLAB_PAD
 
 
 def _foreign_counts(
@@ -397,13 +412,17 @@ def _foreign_counts(
         # every ball is the whole disc; counted rather than listing all
         # anchor-point pairs
         return lookup.points.shape[0] - np.bincount(owner, minlength=n_words)
-    # anchors are queried in blocks, so the candidate pairs of all of
-    # them never exist at once
+    # anchors are queried in blocks of about _PAIR_BUDGET slab candidates,
+    # so the candidate pairs of all of them never exist at once: a block
+    # holds the anchors whose candidates start within one budget
+    centres, radius = _rho_disc(anchors, half)
+    _, slab = lookup.slabs(centres, radius)
+    block = (np.cumsum(slab) - slab) // _PAIR_BUDGET
+    edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), n_words]
     counts = np.empty(n_words, dtype=np.intp)
-    for lo in range(0, n_words, _ANCHOR_BLOCK):
-        block = anchors[lo : lo + _ANCHOR_BLOCK]
-        ci, k = lookup.within_rho(block, half)
-        counts[lo : lo + len(block)] = np.bincount(ci[owner[k] != ci + lo], minlength=len(block))
+    for lo, hi in zip(edges, edges[1:]):
+        ci, k = lookup.within_rho(anchors[lo:hi], half, (centres[lo:hi], radius[lo:hi]))
+        counts[lo:hi] = np.bincount(ci[owner[k] != ci + lo], minlength=hi - lo)
     return counts
 
 

@@ -29,10 +29,11 @@ word's last letter picks its three children from a rank table, and
 `_children` grows a block of words with one multiply per child slot
 against the generator stack.  Widths are checked before each
 multiplication and overflow raises instead of wrapping.
-`orbit_points` evaluates each sphere in blocks of `_BLOCK` matrices,
-and grows an unstored deepest sphere from blocks of its parents, so
-no sphere-sized float array other than ``1 - |point|`` is built and
-the deepest sphere's matrices never exist all at once.  Orbit points
+`orbit_points` holds whole only the stored spheres and those of at
+most `_BLOCK` words, and grows every deeper sphere one subtree at a
+time from blocks of the last whole sphere, so no deeper sphere's
+matrices exist all at once and the only sphere-sized arrays are their
+``1 - |point|``.  Points are evaluated `_CHUNK` at a time.  Orbit points
 are produced by conjugating the half-plane action to the disc, and
 ``1 - |point|`` is computed from the identity
 ``|den|^2 - |num|^2 = (|alpha|^2 - |beta|^2)(1 - |z|^2)``, which avoids
@@ -81,7 +82,11 @@ _CHILD_RANKS = np.array([[c for c in range(4) if c != r ^ 1] for r in range(4)],
 
 _INT64_GUARD = 2**60  # the largest entry ever multiplied, whatever the generators
 _BOUNDARY_GUARD = 1e-15  # orbit points must keep 1 - |point| above this
-_BLOCK = 2**16  # matrices per evaluation block of `orbit_points`
+_BLOCK = 2**14  # matrices per level of a subtree grown by `orbit_points`
+# Matrices per `_eval_points` call.  Its temporaries stay small enough for
+# the C heap to reuse them; larger ones were handed back to the system and
+# faulted in again on every call.
+_CHUNK = 2**12
 
 
 def _reduce_concat(left: tuple, right: tuple) -> tuple:
@@ -374,27 +379,25 @@ def _spheres(preset: GroupPreset, max_length: int, letters_up_to: int) -> Iterat
         yield length, mats, last, rows
 
 
-def _sphere_blocks(preset: GroupPreset, max_length: int, store_limit: int) -> Iterator[tuple]:
-    """``(length, size, matrix blocks, letter rows)`` per sphere, for `orbit_points`.
+def _evaluate(
+    mats: np.ndarray, z: complex, length: int, one_minus: np.ndarray, points=None
+) -> float:
+    """Evaluate a run of sphere-``length`` matrices, `_CHUNK` at a time.
 
-    A sphere's blocks come in canonical order, at most `_BLOCK`
-    matrices each, and each must be used before the next sphere is
-    asked for.  When the deepest sphere is not stored, each of its
-    blocks is grown from a block of parents (children are written
-    parent-major, so they form a contiguous slice of the sphere), and
-    its matrices never exist all at once.
+    ``1 - |point|`` goes into ``one_minus`` (and the points into
+    ``points`` when given), which have one entry per matrix.  Returns the
+    smallest distance from ``z``; a point on the boundary raises.
     """
-    grow = 2 <= max_length and store_limit < max_length
-    for length, mats, last, rows in _spheres(preset, max_length - grow, store_limit):
-        blocks = (mats[i : i + _BLOCK] for i in range(0, len(mats), _BLOCK))
-        yield length, mats.shape[0], blocks, rows
-    if grow:
-        step = max(1, _BLOCK // 3)
-        blocks = (
-            _children(mats[i : i + step], last[i : i + step], preset)[0]
-            for i in range(0, len(mats), step)
-        )
-        yield max_length, 3 * mats.shape[0], blocks, None
+    min_rho = math.inf
+    for lo in range(0, mats.shape[0], _CHUNK):
+        hi = lo + _CHUNK
+        w, one_minus[lo:hi] = _eval_points(mats[lo:hi], z)
+        if float(one_minus[lo:hi].min()) <= _BOUNDARY_GUARD:
+            raise RuntimeError(f"orbit point at sphere {length} is numerically on the boundary")
+        min_rho = min(min_rho, float(_pseudo_hyperbolic(z, w).min()))
+        if points is not None:
+            points[lo:hi] = w
+    return min_rho
 
 
 def orbit_points(
@@ -410,11 +413,16 @@ def orbit_points(
     spheres keep aggregates only (sums, minima, sizes).  The total word
     count ``2 * 3**max_length - 1`` must stay within ``word_cap``.
 
-    Each sphere is evaluated in blocks of `_BLOCK` matrices into one
-    array of ``1 - |point|``, whose sum is taken over the whole sphere
-    at once (the summation order fixes the sums bit for bit), and the
-    minimum distance is kept as a running minimum.  An unstored deepest
-    sphere is grown block by block from its parents.
+    Only the spheres up to ``top``, the larger of ``store_limit`` and
+    the deepest sphere of at most `_BLOCK` words, are held whole.  Each
+    deeper sphere is grown one subtree at a time: a block of sphere-``top``
+    words is grown level by level, and each level's matrices, which are
+    contiguous in parent-major order, are evaluated into that sphere's
+    array of ``1 - |point|``.  A sphere's sum is taken over the whole
+    array at once (the summation order fixes the sums bit for bit), and
+    its minimum distance is a running minimum.  A failure is reported
+    as a whole-sphere expansion would meet it: the shallowest failing
+    sphere, and at one sphere an overflow before a boundary point.
     """
     z = _disc_point(z, "base point must lie strictly inside the disc")
     if max_length < 0:
@@ -426,32 +434,61 @@ def orbit_points(
     if sigma0 <= _BOUNDARY_GUARD:
         raise ValueError("base point is numerically on the boundary")
 
-    levels = []
-    cumulative = 0.0
-    for length, size, blocks, letters in _sphere_blocks(preset, max_length, store_limit):
-        store = length <= store_limit
+    whole = 1  # the deepest sphere of at most _BLOCK words, sphere 1 at least
+    while 4 * 3**whole <= _BLOCK:
+        whole += 1
+    top = min(max_length, max(store_limit, whole))
+    spheres = []  # (1 - |point|, min rho, points, letter rows) per sphere
+    for length, mats, last, letters in _spheres(preset, top, store_limit):
         if length == 0:
             points, one_minus, min_rho = np.array([z]), np.array([sigma0]), math.inf
         else:
-            points = np.empty(size, dtype=complex) if store else None
-            one_minus, min_rho, lo = np.empty(size), math.inf, 0
-            for mats in blocks:
-                hi = lo + mats.shape[0]
-                w, one_minus[lo:hi] = _eval_points(mats, z)
-                if float(one_minus[lo:hi].min()) <= _BOUNDARY_GUARD:
-                    raise RuntimeError(
-                        f"orbit point at sphere {length} is numerically on the boundary"
-                    )
-                min_rho = min(min_rho, float(_pseudo_hyperbolic(z, w).min()))
-                if store:
-                    points[lo:hi] = w
-                lo = hi
+            points = np.empty(mats.shape[0], dtype=complex) if length <= store_limit else None
+            one_minus = np.empty(mats.shape[0])
+            min_rho = _evaluate(mats, z, length, one_minus, points)
+        spheres.append((one_minus, min_rho, points, letters))
+
+    # `mats` and `last` now hold sphere `top`, the roots of the subtrees
+    deep = range(top + 1, max_length + 1)
+    sums = [np.empty(4 * 3 ** (length - 1)) for length in deep]
+    mins = [math.inf] * len(deep)
+    # (sphere, 0 for an overflow or 1 for a boundary point, error): a
+    # whole-sphere expansion meets failures in this order, since it
+    # checks the parents' entries before it evaluates their children
+    failure = (max_length + 1, 0, None)
+    step = max(1, _BLOCK // 3 ** (max_length - top))
+    for lo in range(0, mats.shape[0] if deep else 0, step):
+        block, ranks = mats[lo : lo + step], last[lo : lo + step]
+        for i, length in enumerate(deep):
+            # a later subtree only looks for failures that precede the one found
+            if (length, 0) >= failure[:2]:
+                break
+            try:
+                block, ranks = _children(block, ranks, preset)
+                if (length, 1) >= failure[:2]:
+                    break
+                start = lo * 3 ** (length - top)
+                min_rho = _evaluate(block, z, length, sums[i][start : start + block.shape[0]])
+            except OverflowError as exc:
+                failure = (length, 0, exc)
+                break
+            except RuntimeError as exc:
+                failure = (length, 1, exc)
+                break
+            mins[i] = min(mins[i], min_rho)
+    if failure[2] is not None:
+        raise failure[2]
+    spheres += [(one_minus, min_rho, None, None) for one_minus, min_rho in zip(sums, mins)]
+
+    levels, cumulative = [], 0.0
+    for length, (one_minus, min_rho, points, letters) in enumerate(spheres):
         sigma = float(one_minus.sum())
         cumulative += sigma
+        store = length <= store_limit
         levels.append(
             OrbitLevel(
                 length=length,
-                size=size,
+                size=one_minus.shape[0],
                 sigma=sigma,
                 cumulative=cumulative,
                 min_rho=min_rho,

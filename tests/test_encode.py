@@ -425,9 +425,11 @@ def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
     owner = np.repeat(np.arange(anchors.shape[0]), 3)
     foreign = owner[None, :] != np.arange(anchors.shape[0])[:, None]
     brute = ((_oracle_rho(anchors, ref.base.points) < half) & foreign).sum(axis=1)
-    monkeypatch.setattr(encode, "_ANCHOR_BLOCK", anchors.shape[0])
+    monkeypatch.setattr(encode, "_PAIR_BUDGET", 2**62)
     whole = encode._foreign_counts(ref.base, owner, anchors, half)
-    monkeypatch.setattr(encode, "_ANCHOR_BLOCK", 7)  # blocks end mid-sphere, the last is ragged
+    monkeypatch.setattr(encode, "_PAIR_BUDGET", 7)  # blocks of a few anchors each, ragged
+    _, slab = ref.base.slabs(*encode._rho_disc(anchors, half))
+    assert slab.sum() > 100 * 7 and slab.max() > 7  # many blocks, some of one anchor
     blocked = encode._foreign_counts(ref.base, owner, anchors, half)
     assert np.array_equal(blocked, whole) and np.array_equal(blocked, brute)
     assert blocked.any() == (half > 2.0 * PARAMS.eps)

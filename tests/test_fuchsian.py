@@ -354,6 +354,114 @@ def test_orbit_points_raise_on_boundary_points_in_a_grown_sphere(monkeypatch, st
         orbit_points(0.1, 3, big, store_limit=store_limit)
 
 
+# Spheres deeper than `top` (the larger of store_limit and the deepest
+# sphere of at most `_BLOCK` words) are grown one subtree at a time.  A
+# block of 7 puts `top` at sphere 1 and a block of 35 at sphere 2, or at
+# store_limit when that is deeper; at L = 3 and 4 and at store_limit 6,
+# L = 7 the subtrees hold several roots and the last one is short.  Points
+# are evaluated in chunks of 5, which end mid-level.
+
+@pytest.mark.parametrize("preset", [GAMMA3, LAMBDA2], ids=lambda p: p.name)
+@pytest.mark.parametrize("store_limit", [-1, 0, 3, 6])
+@pytest.mark.parametrize("max_length", [3, 4, 6, 7])
+@pytest.mark.parametrize("block", [7, 35])
+def test_subtree_growth_is_bit_identical_to_whole_spheres(
+    monkeypatch, block, max_length, store_limit, preset
+):
+    from pickdisc import fuchsian
+
+    z = -0.3 + 0.1j
+    oracle = _whole_sphere_levels(z, max_length, preset, store_limit)
+    monkeypatch.setattr(fuchsian, "_BLOCK", block)
+    monkeypatch.setattr(fuchsian, "_CHUNK", 5)
+    table = orbit_points(z, max_length, preset, store_limit=store_limit)
+    assert len(table.levels) == len(oracle)
+    for level, (size, sigma, cumulative, min_rho, points, one_minus, rows) in zip(
+        table.levels, oracle
+    ):
+        assert (level.size, level.sigma, level.cumulative, level.min_rho) == (
+            size, sigma, cumulative, min_rho
+        )
+        if level.length <= store_limit:
+            assert np.array_equal(level.points, points)
+            assert np.array_equal(level.one_minus, one_minus)
+            assert np.array_equal(level.letters, rows)
+        else:
+            assert level.points is None and level.one_minus is None and level.letters is None
+
+
+def test_a_shallower_boundary_point_in_a_later_subtree_is_reported(monkeypatch):
+    # With a block of 7 each subtree grows from one letter.  The guard is
+    # set so that the subtree of `a` first fails at sphere 4 and a later
+    # subtree at sphere 3; a whole-sphere expansion meets sphere 3 first.
+    from pickdisc import fuchsian
+
+    z = 0.1 + 0.05j
+    one_minus = [level[5] for level in _whole_sphere_levels(z, 4, GAMMA3, -1)]
+    sphere3, sphere4 = one_minus[3].reshape(4, 9), one_minus[4].reshape(4, 27)  # per letter
+    guard = sphere3[1:].min()
+    assert sphere4[0].min() <= guard < min(sphere3[0].min(), one_minus[2].min())
+    monkeypatch.setattr(fuchsian, "_BLOCK", 7)
+    monkeypatch.setattr(fuchsian, "_BOUNDARY_GUARD", guard)
+    with pytest.raises(RuntimeError, match="sphere 3 "):
+        orbit_points(z, 4, GAMMA3, store_limit=0)
+
+
+def test_an_overflow_in_a_later_subtree_precedes_a_boundary_point(monkeypatch):
+    # At L = 4 a block of 13 grows each subtree from one word of sphere 2.
+    # The first, aa, has entries up to 4 and reaches the boundary guard
+    # at sphere 3; the second, ab, has an entry 11 above the int64 guard
+    # of 10, so making sphere 3 overflows.  At one sphere a whole-sphere
+    # expansion checks the overflow before it evaluates any point.
+    from pickdisc import fuchsian
+
+    z = 0.1 + 0.05j
+    preset = GroupPreset("P", Mat2(1, 2, 0, 1), Mat2(1, 0, 5, 1))
+    one_minus = [level[5] for level in _whole_sphere_levels(z, 3, preset, -1)]
+    guard = one_minus[3][:3].min()  # the children of aa
+    assert guard < one_minus[2].min()
+    monkeypatch.setattr(fuchsian, "_INT64_GUARD", 10)
+    monkeypatch.setattr(fuchsian, "_BOUNDARY_GUARD", guard)
+    monkeypatch.setattr(fuchsian, "_BLOCK", 13)
+    fresh = GroupPreset("P", Mat2(1, 2, 0, 1), Mat2(1, 0, 5, 1))  # its stack sees the guard
+    with pytest.raises(OverflowError, match="reached 11;"):
+        orbit_points(z, 4, fresh, store_limit=0)
+
+
+def test_a_deeper_overflow_in_an_earlier_subtree_leaves_a_boundary_point_first(monkeypatch):
+    # The same subtrees with an int64 guard of 20: aa, whose children
+    # reach 21, overflows making sphere 4, and a later subtree holds a
+    # sphere-3 point on the boundary guard, which a whole-sphere
+    # expansion meets first.
+    from pickdisc import fuchsian
+
+    z = 0.1 + 0.05j
+    preset = GroupPreset("P", Mat2(1, 2, 0, 1), Mat2(1, 0, 5, 1))
+    one_minus = [level[5] for level in _whole_sphere_levels(z, 3, preset, -1)]
+    guard = one_minus[3][3:].min()  # the children of the later subtrees
+    assert guard < min(one_minus[3][:3].min(), one_minus[2].min())
+    monkeypatch.setattr(fuchsian, "_INT64_GUARD", 20)
+    monkeypatch.setattr(fuchsian, "_BOUNDARY_GUARD", guard)
+    monkeypatch.setattr(fuchsian, "_BLOCK", 13)
+    fresh = GroupPreset("P", Mat2(1, 2, 0, 1), Mat2(1, 0, 5, 1))
+    with pytest.raises(RuntimeError, match="sphere 3 "):
+        orbit_points(z, 4, fresh, store_limit=0)
+
+
+def test_orbit_points_memory_stays_below_the_deep_spheres():
+    # the sphere before the deepest was held whole at about 23 MB; grown
+    # subtree by subtree, only the sums of the deep spheres (8.5 MB) stay
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        orbit_points(0.1 + 0.05j, 12, GAMMA3, store_limit=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
+
+
 def test_orbit_points_memory_stays_below_a_sphere():
     # whole-sphere evaluation peaked at about 100 MB here; the blocks and
     # the grown deepest sphere keep it near 23 MB

@@ -29,6 +29,31 @@ def test_public_names_are_the_union_of_the_layer_lists():
             assert getattr(pickdisc, name) is getattr(layer, name)
 
 
+_LAZY_IMPORT = """
+import sys
+import pickdisc
+assert "numpy" not in sys.modules and "pickdisc.encode" not in sys.modules
+assert pickdisc.__version__ and not any(m.startswith("pickdisc.") for m in sys.modules)
+assert pickdisc.rho(0, 0.5) == 0.5 and "numpy" in sys.modules
+assert set(pickdisc.__all__) <= set(dir(pickdisc)) and "rho" in dir(pickdisc)
+names = {}
+exec("from pickdisc import *", names)
+assert sorted(n for n in names if n != "__builtins__") == sorted(pickdisc.__all__)
+assert pickdisc.encode.make_params is pickdisc.make_params
+print("ok")
+"""
+
+
+def test_import_loads_no_layer_until_a_name_is_read():
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_IMPORT], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+
+
 def test_there_are_six_demos():
     assert [p.name for p in DEMOS] == [
         "coefficients_roundtrip.py",
