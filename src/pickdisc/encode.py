@@ -99,7 +99,7 @@ __all__ = [
 # error; the exact distance test then decides.
 _SLAB_PAD = 1e-15
 _RHO_PAD = 1e-3
-_PAIR_BUDGET = 2**18  # slab candidate pairs per `_foreign_counts` query
+_PAIR_BUDGET = 2**18  # slab candidate pairs per block of a `_SortedIndex.near` query
 
 
 class EncodingError(ValueError):
@@ -284,7 +284,7 @@ class _Reference(NamedTuple):
 @lru_cache(maxsize=16)
 def _reference(params: EncodingParams) -> _Reference:
     """The window's matrices and family values, the base and its labels, and the base checks."""
-    _, mats, _, rows = zip(*_spheres(params.preset, params.window, params.window))
+    _, mats, _, rows = zip(*_spheres(params.preset, params.window))
     mats = np.concatenate(mats)
     alpha, beta = _coefficients(mats)
     grid = _moebius(alpha[:, None], beta[:, None], np.array(params.quadruple(), dtype=complex))
@@ -353,9 +353,11 @@ class _SortedIndex:
 
     `near` finds, for a batch of centres, every point within a Euclidean
     radius of each; the sort confines each search to the slab of points
-    whose real part is within that radius.  A pseudo-hyperbolic ball is
-    a Euclidean disc, so `within_rho` queries the slightly padded disc
-    and keeps the pairs that pass the exact rho expression.
+    whose real part is within that radius.  `near` owns the pair budget:
+    every query, through `within_rho` or not, lists its slab candidates
+    in blocks of about `_PAIR_BUDGET`.  A pseudo-hyperbolic ball is a
+    Euclidean disc, so `within_rho` queries the slightly padded disc and
+    keeps the pairs that pass the exact rho expression.
     """
 
     def __init__(self, points: np.ndarray):
@@ -374,21 +376,29 @@ class _SortedIndex:
 
         ``radius`` is a scalar or one value per centre; pairs come out
         centre by centre, each centre's points in order of real part.
+        The centres are queried in blocks, cut where the running count of
+        slab candidates crosses a multiple of `_PAIR_BUDGET`, so only the
+        kept pairs of all of them exist at once.
         """
         radius = np.broadcast_to(radius, centres.shape)
         lo, counts = self.slabs(centres, radius)
-        ci = np.repeat(np.arange(centres.shape[0]), counts)
-        rank = np.arange(ci.shape[0]) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-        k = self.order[rank]
-        keep = np.abs(self.points[k] - centres[ci]) <= radius[ci]
-        return ci[keep], k[keep]
+        # array methods, not np.diff or np.flatnonzero: small queries pay per call
+        block = (counts.cumsum() - counts) // _PAIR_BUDGET
+        edges = [0, *((block[1:] != block[:-1]).nonzero()[0] + 1).tolist(), centres.shape[0]]
+        pairs = []
+        for start, stop in zip(edges, edges[1:]):
+            size = counts[start:stop]
+            ci = np.repeat(np.arange(start, stop), size)
+            rank = np.arange(ci.shape[0]) - np.repeat(np.cumsum(size) - size - lo[start:stop], size)
+            k = self.order[rank]
+            keep = np.abs(self.points[k] - centres[ci]) <= radius[ci]
+            pairs.append((ci[keep], k[keep]))
+        ci, k = zip(*pairs)
+        return np.concatenate(ci), np.concatenate(k)
 
-    def within_rho(self, centres: np.ndarray, r: float, disc=None) -> tuple:
-        """Pairs (centre index, point index) with ``rho(centre, point) < r``.
-
-        ``disc`` is ``_rho_disc(centres, r)``, for a caller that has it.
-        """
-        ci, k = self.near(*(disc or _rho_disc(centres, r)))
+    def within_rho(self, centres: np.ndarray, r: float) -> tuple:
+        """Pairs (centre index, point index) with ``rho(centre, point) < r``."""
+        ci, k = self.near(*_rho_disc(centres, r))
         keep = _pseudo_hyperbolic(centres[ci], self.points[k]) < r
         return ci[keep], k[keep]
 
@@ -412,18 +422,8 @@ def _foreign_counts(
         # every ball is the whole disc; counted rather than listing all
         # anchor-point pairs
         return lookup.points.shape[0] - np.bincount(owner, minlength=n_words)
-    # anchors are queried in blocks of about _PAIR_BUDGET slab candidates,
-    # so the candidate pairs of all of them never exist at once: a block
-    # holds the anchors whose candidates start within one budget
-    centres, radius = _rho_disc(anchors, half)
-    _, slab = lookup.slabs(centres, radius)
-    block = (np.cumsum(slab) - slab) // _PAIR_BUDGET
-    edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), n_words]
-    counts = np.empty(n_words, dtype=np.intp)
-    for lo, hi in zip(edges, edges[1:]):
-        ci, k = lookup.within_rho(anchors[lo:hi], half, (centres[lo:hi], radius[lo:hi]))
-        counts[lo:hi] = np.bincount(ci[owner[k] != ci + lo], minlength=hi - lo)
-    return counts
+    ci, k = lookup.within_rho(anchors, half)
+    return np.bincount(ci[owner[k] != ci], minlength=n_words)
 
 
 def _check_isolation(ref: _Reference, added: _SortedIndex, owner: np.ndarray, eps: float) -> None:

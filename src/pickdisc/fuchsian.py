@@ -33,7 +33,9 @@ multiplication and overflow raises instead of wrapping.
 most `_BLOCK` words, and grows every deeper sphere one subtree at a
 time from blocks of the last whole sphere, so no deeper sphere's
 matrices exist all at once and the only sphere-sized arrays are their
-``1 - |point|``.  Points are evaluated `_CHUNK` at a time.  Orbit points
+``1 - |point|``, allocated first and filled `_CHUNK` points at a time.
+Failures are decided once, in sphere order, so a failing input runs to
+its end or its overflow before it raises.  Orbit points
 are produced by conjugating the half-plane action to the disc, and
 ``1 - |point|`` is computed from the identity
 ``|den|^2 - |num|^2 = (|alpha|^2 - |beta|^2)(1 - |z|^2)``, which avoids
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from importlib import resources
 from typing import Iterator, Sequence
@@ -208,7 +210,7 @@ def enumerate_words(max_length: int) -> list:
     if max_length < 0:
         raise ValueError("max_length must be >= 0")
     # the letter rows are the same under every preset
-    spheres = _spheres(GAMMA3, max_length, max_length)
+    spheres = _spheres(GAMMA3, max_length)
     return [w for _, _, _, rows in spheres for w in _row_words(rows)]
 
 
@@ -353,47 +355,38 @@ def _children(mats: np.ndarray, last: np.ndarray, preset: GroupPreset) -> tuple:
     return out.reshape(-1, 2, 2), children.reshape(-1)
 
 
-def _spheres(preset: GroupPreset, max_length: int, letters_up_to: int) -> Iterator[tuple]:
+def _spheres(preset: GroupPreset, max_length: int) -> Iterator[tuple]:
     """The word tree breadth first: ``(length, matrices, last ranks, letter rows)`` per sphere.
 
     This is the package's one letter expansion.  Each sphere's words
     come in canonical order as int64 matrices, the rank of each word's
     last letter (``None`` for the identity) and an int8 array of letter
-    rows; spheres longer than ``letters_up_to`` give ``None`` for the
     rows.  Each later sphere is the `_children` of the whole sphere
     before it.
     """
     mats, last = np.eye(2, dtype=np.int64)[None], None
     rows = np.empty((1, 0), dtype=np.int8)
-    yield 0, mats, last, rows if letters_up_to >= 0 else None
+    yield 0, mats, last, rows
     for length in range(1, max_length + 1):
         if length == 1:
             mats, last = preset._stack[0], np.arange(4, dtype=np.int8)
         else:
             mats, last = _children(mats, last, preset)
-        if length <= letters_up_to:
-            parents = np.repeat(rows, mats.shape[0] // rows.shape[0], axis=0)
-            rows = np.concatenate([parents, _LETTER_CODES[last][:, None]], axis=1)
-        else:
-            rows = None
+        parents = np.repeat(rows, mats.shape[0] // rows.shape[0], axis=0)
+        rows = np.concatenate([parents, _LETTER_CODES[last][:, None]], axis=1)
         yield length, mats, last, rows
 
 
-def _evaluate(
-    mats: np.ndarray, z: complex, length: int, one_minus: np.ndarray, points=None
-) -> float:
-    """Evaluate a run of sphere-``length`` matrices, `_CHUNK` at a time.
+def _evaluate(mats: np.ndarray, z: complex, out: np.ndarray, points=None) -> float:
+    """Evaluate a run of matrices, `_CHUNK` at a time, and return the smallest distance from ``z``.
 
-    ``1 - |point|`` goes into ``one_minus`` (and the points into
-    ``points`` when given), which have one entry per matrix.  Returns the
-    smallest distance from ``z``; a point on the boundary raises.
+    ``1 - |point|`` goes into ``out`` (and the points into ``points``
+    when given), which have one entry per matrix.
     """
     min_rho = math.inf
     for lo in range(0, mats.shape[0], _CHUNK):
         hi = lo + _CHUNK
-        w, one_minus[lo:hi] = _eval_points(mats[lo:hi], z)
-        if float(one_minus[lo:hi].min()) <= _BOUNDARY_GUARD:
-            raise RuntimeError(f"orbit point at sphere {length} is numerically on the boundary")
+        w, out[lo:hi] = _eval_points(mats[lo:hi], z)
         min_rho = min(min_rho, float(_pseudo_hyperbolic(z, w).min()))
         if points is not None:
             points[lo:hi] = w
@@ -413,16 +406,21 @@ def orbit_points(
     spheres keep aggregates only (sums, minima, sizes).  The total word
     count ``2 * 3**max_length - 1`` must stay within ``word_cap``.
 
-    Only the spheres up to ``top``, the larger of ``store_limit`` and
-    the deepest sphere of at most `_BLOCK` words, are held whole.  Each
+    Every sphere's array of ``1 - |point|`` is allocated first.  Only
+    the spheres up to ``top``, the larger of ``store_limit`` and the
+    deepest sphere of at most `_BLOCK` words, are held whole.  Each
     deeper sphere is grown one subtree at a time: a block of sphere-``top``
     words is grown level by level, and each level's matrices, which are
-    contiguous in parent-major order, are evaluated into that sphere's
-    array of ``1 - |point|``.  A sphere's sum is taken over the whole
-    array at once (the summation order fixes the sums bit for bit), and
-    its minimum distance is a running minimum.  A failure is reported
-    as a whole-sphere expansion would meet it: the shallowest failing
-    sphere, and at one sphere an overflow before a boundary point.
+    contiguous in parent-major order, are evaluated into their slice of
+    that sphere's array.  A sphere's sum is taken over the whole array
+    at once (the summation order fixes the sums bit for bit), and its
+    minimum distance is a running minimum.
+
+    Failures are decided once, in sphere order, as the levels are built:
+    the shallowest sphere that overflows int64 or holds a point on the
+    boundary, and at one sphere the overflow first, as a whole-sphere
+    expansion meets them.  A boundary point does not stop the walk, so
+    a failing input runs to its end or its overflow before it raises.
     """
     z = _disc_point(z, "base point must lie strictly inside the disc")
     if max_length < 0:
@@ -438,63 +436,56 @@ def orbit_points(
     while 4 * 3**whole <= _BLOCK:
         whole += 1
     top = min(max_length, max(store_limit, whole))
-    spheres = []  # (1 - |point|, min rho, points, letter rows) per sphere
-    for length, mats, last, letters in _spheres(preset, top, store_limit):
-        if length == 0:
-            points, one_minus, min_rho = np.array([z]), np.array([sigma0]), math.inf
-        else:
-            points = np.empty(mats.shape[0], dtype=complex) if length <= store_limit else None
-            one_minus = np.empty(mats.shape[0])
-            min_rho = _evaluate(mats, z, length, one_minus, points)
-        spheres.append((one_minus, min_rho, points, letters))
+    sizes = [1] + [4 * 3 ** (length - 1) for length in range(1, max_length + 1)]
+    one_minus = [np.empty(size) for size in sizes]
+    points = [np.empty(n, dtype=complex) if i <= store_limit else None for i, n in enumerate(sizes)]
+    one_minus[0][0] = sigma0
+    if store_limit >= 0:
+        points[0][0] = z
+    mins, rows = [math.inf] * len(sizes), []
+    failure = None  # (sphere, error) of the shallowest overflow
+    try:
+        for length, mats, last, letters in _spheres(preset, top):
+            if length:
+                mins[length] = _evaluate(mats, z, one_minus[length], points[length])
+            rows.append(letters)
+    except OverflowError as exc:
+        failure = (length + 1, exc)  # met making the sphere after the last one yielded
 
-    # `mats` and `last` now hold sphere `top`, the roots of the subtrees
-    deep = range(top + 1, max_length + 1)
-    sums = [np.empty(4 * 3 ** (length - 1)) for length in deep]
-    mins = [math.inf] * len(deep)
-    # (sphere, 0 for an overflow or 1 for a boundary point, error): a
-    # whole-sphere expansion meets failures in this order, since it
-    # checks the parents' entries before it evaluates their children
-    failure = (max_length + 1, 0, None)
-    step = max(1, _BLOCK // 3 ** (max_length - top))
-    for lo in range(0, mats.shape[0] if deep else 0, step):
-        block, ranks = mats[lo : lo + step], last[lo : lo + step]
-        for i, length in enumerate(deep):
-            # a later subtree only looks for failures that precede the one found
-            if (length, 0) >= failure[:2]:
-                break
-            try:
-                block, ranks = _children(block, ranks, preset)
-                if (length, 1) >= failure[:2]:
+    if top < max_length and failure is None:
+        # `mats` and `last` hold sphere `top`, the roots of the subtrees
+        step = max(1, _BLOCK // 3 ** (max_length - top))
+        for lo in range(0, mats.shape[0], step):
+            block, ranks = mats[lo : lo + step], last[lo : lo + step]
+            for length in range(top + 1, failure[0] if failure else max_length + 1):
+                try:
+                    block, ranks = _children(block, ranks, preset)
+                except OverflowError as exc:
+                    failure = (length, exc)
                     break
                 start = lo * 3 ** (length - top)
-                min_rho = _evaluate(block, z, length, sums[i][start : start + block.shape[0]])
-            except OverflowError as exc:
-                failure = (length, 0, exc)
-                break
-            except RuntimeError as exc:
-                failure = (length, 1, exc)
-                break
-            mins[i] = min(mins[i], min_rho)
-    if failure[2] is not None:
-        raise failure[2]
-    spheres += [(one_minus, min_rho, None, None) for one_minus, min_rho in zip(sums, mins)]
+                out = one_minus[length][start : start + block.shape[0]]
+                mins[length] = min(mins[length], _evaluate(block, z, out))
 
     levels, cumulative = [], 0.0
-    for length, (one_minus, min_rho, points, letters) in enumerate(spheres):
-        sigma = float(one_minus.sum())
+    for length, (sphere, min_rho, pts) in enumerate(zip(one_minus, mins, points)):
+        if failure and failure[0] == length:
+            raise failure[1]
+        if sphere.min() <= _BOUNDARY_GUARD:
+            raise RuntimeError(f"orbit point at sphere {length} is numerically on the boundary")
+        sigma = float(sphere.sum())
         cumulative += sigma
-        store = length <= store_limit
+        store = pts is not None
         levels.append(
             OrbitLevel(
                 length=length,
-                size=one_minus.shape[0],
+                size=sphere.shape[0],
                 sigma=sigma,
                 cumulative=cumulative,
                 min_rho=min_rho,
-                points=points if store else None,
-                one_minus=one_minus if store else None,
-                letters=letters,
+                points=pts,
+                one_minus=sphere if store else None,
+                letters=rows[length] if store else None,
             )
         )
     return OrbitTable(base=z, preset_name=preset.name, levels=tuple(levels))
@@ -510,12 +501,7 @@ class BlaschkeDiagnostics:
     window: int
 
     def as_dict(self) -> dict:
-        return {
-            "ratios": list(self.ratios),
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-            "window": self.window,
-        }
+        return asdict(self)
 
 
 def load_blaschke_thresholds() -> dict:

@@ -15,7 +15,7 @@ tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -75,11 +75,7 @@ class PsdReport:
     tolerance: float
 
     def as_dict(self) -> dict:
-        return {
-            "min_eigenvalue": self.min_eigenvalue,
-            "is_psd": self.is_psd,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def _ball_nodes(points, dimension: int, what: str) -> tuple:

@@ -44,7 +44,7 @@ requires no synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -199,13 +199,7 @@ class AdmissibilityReport:
     verdict_at_truncation: bool
 
     def as_dict(self) -> dict:
-        return {
-            "a0_is_one": self.a0_is_one,
-            "ratios_nonincreasing": self.ratios_nonincreasing,
-            "last_ratio": self.last_ratio,
-            "partial_sum": self.partial_sum,
-            "verdict_at_truncation": self.verdict_at_truncation,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -224,12 +218,7 @@ class GrowthReport:
     argmax_index: int
 
     def as_dict(self) -> dict:
-        return {
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "argmin_index": self.argmin_index,
-            "argmax_index": self.argmax_index,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

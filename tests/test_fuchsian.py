@@ -235,30 +235,26 @@ def test_spheres_guard_against_int64_overflow():
     from pickdisc.fuchsian import _spheres
 
     huge = GroupPreset("HUGE", Mat2(1, 2**61, 0, 1), Mat2(1, 0, 1, 1))
-    spheres = _spheres(huge, 2, 2)
+    spheres = _spheres(huge, 2)
     assert [length for length, _, _, _ in itertools.islice(spheres, 2)] == [0, 1]
     with pytest.raises(OverflowError):
         next(spheres)
 
 
 @pytest.mark.parametrize("preset", [GAMMA3, LAMBDA2], ids=lambda p: p.name)
-@pytest.mark.parametrize("letters_up_to", [-1, 3, 6])
-def test_spheres_match_exact_matrices_and_words(preset, letters_up_to):
+def test_spheres_match_exact_matrices_and_words(preset):
     from pickdisc.fuchsian import _RANK, _position, _row_strings, _row_words, _spheres
 
     words = enumerate_words(6)
     assert all(_position(w) == i for i, w in enumerate(words))
-    for length, mats, last, rows in _spheres(preset, 6, letters_up_to):
+    for length, mats, last, rows in _spheres(preset, 6):
         sphere = [w for w in words if len(w) == length]
         exact = [list(word_to_matrix(w, preset).entries()) for w in sphere]
         assert mats.dtype == np.int64 and mats.reshape(-1, 4).tolist() == exact
         if length:
             assert last.tolist() == [_RANK[w.letters[-1]] for w in sphere]
-        if length > letters_up_to:
-            assert rows is None
-        else:
-            assert rows.dtype == np.int8 and _row_words(rows) == sphere
-            assert _row_strings(rows) == [w.to_string() for w in _row_words(rows)]
+        assert rows.dtype == np.int8 and _row_words(rows) == sphere
+        assert _row_strings(rows) == [w.to_string() for w in _row_words(rows)]
 
 
 def test_spheres_raise_before_large_generators_wrap_int64():
@@ -267,7 +263,7 @@ def test_spheres_raise_before_large_generators_wrap_int64():
     from pickdisc.fuchsian import _row_words, _spheres
 
     big = GroupPreset("BIG", Mat2(1, 1000, 0, 1), Mat2(1, 0, 1000, 1))
-    spheres = _spheres(big, 7, 7)
+    spheres = _spheres(big, 7)
     for _length, mats, _last, rows in itertools.islice(spheres, 7):
         exact = [list(word_to_matrix(w, big).entries()) for w in _row_words(rows)]
         assert mats.reshape(-1, 4).tolist() == exact
@@ -284,13 +280,13 @@ def test_spheres_raise_before_large_generators_wrap_int64():
 # odd block the blocks end mid-sphere and the last one is ragged; every
 # figure must still equal a whole-sphere evaluation bit for bit.
 
-def _whole_sphere_levels(z, max_length, preset, store_limit):
+def _whole_sphere_levels(z, max_length, preset):
     """(size, sigma, cumulative, min_rho, points, one_minus, rows) per sphere, unblocked."""
     from pickdisc.fuchsian import _eval_points, _spheres
     from pickdisc.hypgeo import _pseudo_hyperbolic
 
     levels, cumulative = [], 0.0
-    for length, mats, _, rows in _spheres(preset, max_length, store_limit):
+    for length, mats, _, rows in _spheres(preset, max_length):
         if length == 0:
             points, one_minus, min_rho = np.array([z]), np.array([1.0 - abs(z)]), math.inf
         else:
@@ -308,7 +304,7 @@ def test_block_evaluation_is_bit_identical_to_whole_spheres(monkeypatch, preset,
     from pickdisc import fuchsian
 
     z = 0.1 + 0.05j
-    oracle = _whole_sphere_levels(z, 6, preset, store_limit)
+    oracle = _whole_sphere_levels(z, 6, preset)
     monkeypatch.setattr(fuchsian, "_BLOCK", 7)
     table = orbit_points(z, 6, preset, store_limit=store_limit)
     assert len(table.levels) == len(oracle)
@@ -354,6 +350,40 @@ def test_orbit_points_raise_on_boundary_points_in_a_grown_sphere(monkeypatch, st
         orbit_points(0.1, 3, big, store_limit=store_limit)
 
 
+@pytest.mark.parametrize("store_limit", [-1, 0, 10])
+def test_orbit_points_of_length_zero_hold_the_base_level(store_limit):
+    z = 0.3 - 0.2j
+    (level,) = orbit_points(z, 0, GAMMA3, store_limit=store_limit).levels
+    assert (level.length, level.size, level.min_rho) == (0, 1, math.inf)
+    assert level.sigma == level.cumulative == 1.0 - abs(z)
+    if store_limit < 0:
+        assert level.points is None and level.one_minus is None and level.letters is None
+    else:
+        assert level.points.tolist() == [z] and level.one_minus.tolist() == [1.0 - abs(z)]
+        assert level.letters.shape == (1, 0)
+
+
+def test_a_boundary_point_in_a_whole_sphere_precedes_an_overflow_in_the_next(monkeypatch):
+    # All spheres up to L = 4 are held whole.  With an int64 guard of 10
+    # the entry 11 of ab makes sphere 3 overflow, and the boundary guard
+    # puts a point of sphere 2 on the boundary; a whole-sphere expansion
+    # meets sphere 2 first.
+    from pickdisc import fuchsian
+
+    z = 0.1 + 0.05j
+    preset = GroupPreset("P", Mat2(1, 2, 0, 1), Mat2(1, 0, 5, 1))
+    one_minus = [level[5] for level in _whole_sphere_levels(z, 2, preset)]
+    guard = one_minus[2].min()
+    assert guard < one_minus[1].min()
+    monkeypatch.setattr(fuchsian, "_INT64_GUARD", 10)
+    fresh = GroupPreset("P", Mat2(1, 2, 0, 1), Mat2(1, 0, 5, 1))  # its stack sees the guard
+    with pytest.raises(OverflowError, match="reached 11;"):
+        orbit_points(z, 4, fresh, store_limit=0)
+    monkeypatch.setattr(fuchsian, "_BOUNDARY_GUARD", guard)
+    with pytest.raises(RuntimeError, match="sphere 2 "):
+        orbit_points(z, 4, fresh, store_limit=0)
+
+
 # Spheres deeper than `top` (the larger of store_limit and the deepest
 # sphere of at most `_BLOCK` words) are grown one subtree at a time.  A
 # block of 7 puts `top` at sphere 1 and a block of 35 at sphere 2, or at
@@ -371,7 +401,7 @@ def test_subtree_growth_is_bit_identical_to_whole_spheres(
     from pickdisc import fuchsian
 
     z = -0.3 + 0.1j
-    oracle = _whole_sphere_levels(z, max_length, preset, store_limit)
+    oracle = _whole_sphere_levels(z, max_length, preset)
     monkeypatch.setattr(fuchsian, "_BLOCK", block)
     monkeypatch.setattr(fuchsian, "_CHUNK", 5)
     table = orbit_points(z, max_length, preset, store_limit=store_limit)
@@ -397,7 +427,7 @@ def test_a_shallower_boundary_point_in_a_later_subtree_is_reported(monkeypatch):
     from pickdisc import fuchsian
 
     z = 0.1 + 0.05j
-    one_minus = [level[5] for level in _whole_sphere_levels(z, 4, GAMMA3, -1)]
+    one_minus = [level[5] for level in _whole_sphere_levels(z, 4, GAMMA3)]
     sphere3, sphere4 = one_minus[3].reshape(4, 9), one_minus[4].reshape(4, 27)  # per letter
     guard = sphere3[1:].min()
     assert sphere4[0].min() <= guard < min(sphere3[0].min(), one_minus[2].min())
@@ -417,7 +447,7 @@ def test_an_overflow_in_a_later_subtree_precedes_a_boundary_point(monkeypatch):
 
     z = 0.1 + 0.05j
     preset = GroupPreset("P", Mat2(1, 2, 0, 1), Mat2(1, 0, 5, 1))
-    one_minus = [level[5] for level in _whole_sphere_levels(z, 3, preset, -1)]
+    one_minus = [level[5] for level in _whole_sphere_levels(z, 3, preset)]
     guard = one_minus[3][:3].min()  # the children of aa
     assert guard < one_minus[2].min()
     monkeypatch.setattr(fuchsian, "_INT64_GUARD", 10)
@@ -437,7 +467,7 @@ def test_a_deeper_overflow_in_an_earlier_subtree_leaves_a_boundary_point_first(m
 
     z = 0.1 + 0.05j
     preset = GroupPreset("P", Mat2(1, 2, 0, 1), Mat2(1, 0, 5, 1))
-    one_minus = [level[5] for level in _whole_sphere_levels(z, 3, preset, -1)]
+    one_minus = [level[5] for level in _whole_sphere_levels(z, 3, preset)]
     guard = one_minus[3][3:].min()  # the children of the later subtrees
     assert guard < min(one_minus[3][:3].min(), one_minus[2].min())
     monkeypatch.setattr(fuchsian, "_INT64_GUARD", 20)
