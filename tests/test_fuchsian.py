@@ -242,12 +242,18 @@ def test_spheres_guard_against_int64_overflow():
 
 
 @pytest.mark.parametrize("preset", [GAMMA3, LAMBDA2], ids=lambda p: p.name)
-def test_spheres_match_exact_matrices_and_words(preset):
+@pytest.mark.parametrize("letters_up_to", [-1, 3, 6])
+def test_spheres_match_exact_matrices_and_words(preset, letters_up_to):
+    # `_spheres` yields the letter rows of every sphere; `orbit_points`
+    # keeps them only for the spheres up to its store limit
     from pickdisc.fuchsian import _RANK, _position, _row_strings, _row_words, _spheres
 
     words = enumerate_words(6)
     assert all(_position(w) == i for i, w in enumerate(words))
-    for length, mats, last, rows in _spheres(preset, 6):
+    table = orbit_points(0.1 + 0.05j, 6, preset, store_limit=letters_up_to)
+    spheres = list(_spheres(preset, 6))
+    assert len(table.levels) == len(spheres)
+    for level, (length, mats, last, rows) in zip(table.levels, spheres):
         sphere = [w for w in words if len(w) == length]
         exact = [list(word_to_matrix(w, preset).entries()) for w in sphere]
         assert mats.dtype == np.int64 and mats.reshape(-1, 4).tolist() == exact
@@ -255,6 +261,11 @@ def test_spheres_match_exact_matrices_and_words(preset):
             assert last.tolist() == [_RANK[w.letters[-1]] for w in sphere]
         assert rows.dtype == np.int8 and _row_words(rows) == sphere
         assert _row_strings(rows) == [w.to_string() for w in _row_words(rows)]
+        assert level.length == length
+        if length > letters_up_to:
+            assert level.letters is None
+        else:
+            assert level.letters.dtype == np.int8 and _row_words(level.letters) == sphere
 
 
 def test_spheres_raise_before_large_generators_wrap_int64():
