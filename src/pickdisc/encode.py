@@ -46,11 +46,11 @@ anchor is checked against its near neighbours only.
 
 Every configuration built from one set of params shares its base: the
 anchor and first two satellites of each window word.  The base's labels,
-its isolation counts and its distinctness are computed once per params,
-together with the word window.  Each build then checks only the third
-satellites of its subset: against the anchors for isolation, and
-against every point for distinctness.  Failures are reported exactly as
-a check from scratch would report them.
+its first failing anchor, its distinctness and an index of its anchors
+are computed once per params, together with the word window.  Each build
+then checks only the third satellites of its subset: against the anchors
+near them for isolation, and against every point for distinctness.
+Failures are reported exactly as a check from scratch would report them.
 
 Parameters are frozen per run: ``eps`` is half the calibrated orbit
 separation at the base point, satellites sit at radii eps/30, eps/18,
@@ -269,15 +269,16 @@ class _Reference(NamedTuple):
     base of a configuration is the anchor and the first two satellites
     of every window word, with their labels read off the letter rows;
     only the third satellites depend on the subset, and a build splices
-    them into the base.  The base's isolation counts and distinctness
-    are checked here once, so a build checks only its subset's points.
+    them into the base.  The base's isolation and distinctness are
+    checked here once, so a build checks only its subset's points.
     """
 
     mats: np.ndarray
     grid: np.ndarray  # words x families, the four values of each word
     labels: tuple  # (word string, family) for every base point, word-major
     base: "_SortedIndex"  # the base points, word-major
-    foreign: np.ndarray  # per anchor, base points of other words with rho < eps/2
+    anchors: "_SortedIndex"  # the anchors, in word order
+    foreign: int  # the base's first failing anchor, from `_first_foreign`
     coincide: bool  # whether two base points coincide
 
 
@@ -289,16 +290,17 @@ def _reference(params: EncodingParams) -> _Reference:
     alpha, beta = _coefficients(mats)
     grid = _moebius(alpha[:, None], beta[:, None], np.array(params.quadruple(), dtype=complex))
     grid.setflags(write=False)
-    labels = tuple(product([text for r in rows for text in _row_strings(r)], range(3)))
     base = _SortedIndex(grid[:, :3].reshape(-1))
+    anchors = _SortedIndex(grid[:, 0])
     owner = np.repeat(np.arange(grid.shape[0]), 3)
-    return _Reference(
+    return _Reference(  # the labels come last, so the base checks run without them
         mats=mats,
         grid=grid,
-        labels=labels,
         base=base,
-        foreign=_foreign_counts(base, owner, grid[:, 0], params.eps / 2.0),
+        anchors=anchors,
+        foreign=_first_foreign(anchors, base.points, owner, params.eps / 2.0),
         coincide=_coincident(base),
+        labels=tuple(product([text for r in rows for text in _row_strings(r)], range(3))),
     )
 
 
@@ -323,9 +325,9 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     `EncodingError`, signaling that eps is too large for this window.
     The anchors and first two satellites are the same for every subset
     and are checked once per params; each build checks its third
-    satellites against the anchors (isolation) and against every point
-    (distinctness).  The first failing anchor is reported whichever
-    points fail it, and isolation is reported before distinctness.
+    satellites against the anchors near them (isolation) and against
+    every point (distinctness).  The first failing anchor is reported
+    whichever points fail it; isolation is reported before distinctness.
     Points and labels are word-major, families in order: each third
     satellite is spliced into the base after its word's second satellite.
     """
@@ -333,7 +335,11 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     ref = _reference(params)
     new = np.sort(np.fromiter(map(_position, subset_set), dtype=np.intp, count=len(subset_set)))
     added = _SortedIndex(ref.grid[new, 3])
-    _check_isolation(ref, added, new, params.eps)
+    first = min(ref.foreign, _first_foreign(ref.anchors, added.points, new, params.eps / 2.0))
+    if first < ref.grid.shape[0]:
+        raise EncodingError(
+            f"cluster isolation failed near word index {first}: eps is too large for this window"
+        )
     _check_distinct(ref, added)
     cuts = 3 * new + 3
     pieces, lo = [], 0
@@ -413,34 +419,26 @@ def _rho_disc(centres: np.ndarray, r: float) -> tuple:
     return disc_centres, r * (1.0 - mod_sq) / shrink * (1.0 + _RHO_PAD) + _SLAB_PAD
 
 
-def _foreign_counts(
-    lookup: _SortedIndex, owner: np.ndarray, anchors: np.ndarray, half: float
-) -> np.ndarray:
-    """Per anchor, the points with rho < half that belong to another word."""
-    n_words = anchors.shape[0]
-    if half >= 1.0:
-        # every ball is the whole disc; counted rather than listing all
-        # anchor-point pairs
-        return lookup.points.shape[0] - np.bincount(owner, minlength=n_words)
-    ci, k = lookup.within_rho(anchors, half)
-    return np.bincount(ci[owner[k] != ci], minlength=n_words)
+def _first_foreign(
+    anchors: _SortedIndex, points: np.ndarray, owner: np.ndarray, half: float
+) -> int:
+    """The first anchor whose rho-ball of radius ``half`` holds a point of another word.
 
-
-def _check_isolation(ref: _Reference, added: _SortedIndex, owner: np.ndarray, eps: float) -> None:
-    """Each anchor's rho-ball of radius eps/2 holds its own points and no others.
-
-    A ball of positive radius holds at least its anchor; with ``eps <= 0``
-    every ball is empty and every anchor fails.
+    ``owner`` holds each point's word; the anchor count if no anchor
+    fails.  The points' padded rho discs find their near anchors, and the
+    exact rho from the anchor's side decides each pair.  A ball must hold
+    its anchor, so with ``half <= 0`` every anchor fails.
     """
-    foreign = ref.foreign
-    if owner.size:
-        foreign = foreign + _foreign_counts(added, owner, ref.grid[:, 0], eps / 2.0)
-    failed = np.flatnonzero((foreign > 0) | (not eps > 0))
-    if failed.size:
-        raise EncodingError(
-            "cluster isolation failed near word index "
-            f"{int(failed[0])}: eps is too large for this window"
-        )
+    n_words = anchors.points.shape[0]
+    if not half > 0:
+        return 0
+    if half >= 1.0:
+        # every ball is the whole disc: anchor 0 fails unless it owns
+        # every point, and then anchor 1 fails, if there is a point
+        return 0 if np.any(owner != 0) else 1 if owner.size else n_words
+    ci, k = anchors.near(*_rho_disc(points, half))
+    foreign = (owner[ci] != k) & (_pseudo_hyperbolic(anchors.points[k], points[ci]) < half)
+    return int(k[foreign].min(initial=n_words))
 
 
 def _coincident(lookup: _SortedIndex) -> bool:

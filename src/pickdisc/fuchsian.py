@@ -258,6 +258,8 @@ class OrbitTable:
         )
 
     def words_at(self, length: int) -> Iterator[Word]:
+        if not 0 <= length <= self.max_length:
+            raise ValueError(f"length must lie between 0 and {self.max_length}, got {length}")
         level = self.levels[length]
         if level.letters is None:
             raise ValueError(f"words of length {length} were not stored (store_limit)")
@@ -524,6 +526,8 @@ def blaschke_diagnostics(table: OrbitTable, thresholds: dict | None = None) -> B
         thresholds = load_blaschke_thresholds()
     theta = float(thresholds["theta_converging"])
     window = int(thresholds.get("window", 4))
+    if window < 1:
+        raise ValueError(f"thresholds window must be >= 1, got {window}")
     ratios = table.sphere_ratios()
     tail = ratios[-window:]
     below = [r < theta for r in tail]

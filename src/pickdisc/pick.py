@@ -44,11 +44,13 @@ class HermitianMatrix:
         arr = np.array(array, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("matrix must be square")
-        peak = float(np.max(np.abs(arr))) if arr.size else 0.0
+        if not arr.size:
+            raise ValueError("matrix is empty (0x0)")
+        peak = float(np.max(np.abs(arr)))
         if not np.isfinite(peak):  # a nan or infinite entry makes the peak non-finite
             raise ValueError("matrix entries must be finite")
         scale = max(1.0, peak)
-        drift = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+        drift = float(np.max(np.abs(arr - arr.conj().T)))
         if drift > tol * scale:
             raise ValueError(f"matrix is not Hermitian: max asymmetry {drift:g}")
         arr.setflags(write=False)

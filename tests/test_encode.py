@@ -419,20 +419,51 @@ def test_index_matches_the_brute_force_oracle(window, pairs):
 @pytest.mark.parametrize("half", [PARAMS.eps / 2.0, 0.84, 0.9, 0.97])
 def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
     # orbit points lie at least 2 * eps apart, so only the larger balls
-    # hold foreign points
+    # hold foreign points.  `_first_foreign` queries the points' rho discs
+    # against the anchors; dropping the points that fail its answer
+    # exposes the next failing anchor, so every failing anchor is checked.
     ref = encode._reference(PARAMS)
     anchors = ref.grid[:, 0]
-    owner = np.repeat(np.arange(anchors.shape[0]), 3)
-    foreign = owner[None, :] != np.arange(anchors.shape[0])[:, None]
-    brute = ((_oracle_rho(anchors, ref.base.points) < half) & foreign).sum(axis=1)
-    monkeypatch.setattr(encode, "_PAIR_BUDGET", 2**62)
-    whole = encode._foreign_counts(ref.base, owner, anchors, half)
-    monkeypatch.setattr(encode, "_PAIR_BUDGET", 7)  # blocks of a few anchors each, ragged
-    _, slab = ref.base.slabs(*encode._rho_disc(anchors, half))
-    assert slab.sum() > 100 * 7 and slab.max() > 7  # many blocks, some of one anchor
-    blocked = encode._foreign_counts(ref.base, owner, anchors, half)
-    assert np.array_equal(blocked, whole) and np.array_equal(blocked, brute)
-    assert blocked.any() == (half > 2.0 * PARAMS.eps)
+    n_words = anchors.shape[0]
+    subset = np.sort(np.random.default_rng(7).choice(n_words, n_words // 3, replace=False))
+    for points, owner, blocks in (
+        (ref.base.points, np.repeat(np.arange(n_words), 3), 100),
+        (ref.grid[subset, 3], subset, 20),
+    ):
+        foreign = owner[None, :] != np.arange(n_words)[:, None]
+        brute = (_oracle_rho(anchors, points) < half) & foreign
+        _, slab = ref.anchors.slabs(*encode._rho_disc(points, half))
+        assert slab.sum() > blocks * 7 and slab.max() > 7  # many blocks, some of one point
+        keep, failed = np.ones(points.shape[0], dtype=bool), []
+        while True:
+            first = int(np.flatnonzero(np.append(brute[:, keep].sum(axis=1), 1))[0])
+            monkeypatch.setattr(encode, "_PAIR_BUDGET", 2**62)
+            whole = encode._first_foreign(ref.anchors, points[keep], owner[keep], half)
+            monkeypatch.setattr(encode, "_PAIR_BUDGET", 7)  # blocks of a few points, ragged
+            blocked = encode._first_foreign(ref.anchors, points[keep], owner[keep], half)
+            assert blocked == whole == first
+            if first == n_words:
+                break
+            failed.append(first)
+            keep &= ~brute[first]
+        assert bool(failed) == (half > 2.0 * PARAMS.eps)
+
+
+def test_a_later_build_queries_isolation_from_its_added_points(monkeypatch):
+    # every index query of a later build has one centre per added point:
+    # isolation, like distinctness, queries from the points the build adds
+    params = make_params(GAMMA3, window=8)
+    build_configuration([W("e")], params)
+    centres, near = [], encode._SortedIndex.near
+
+    def recording(self, points, radius):
+        centres.append(points.shape[0])
+        return near(self, points, radius)
+
+    monkeypatch.setattr(encode._SortedIndex, "near", recording)
+    subset = [W("ab"), W("bAb"), W("aabbA")]
+    build_configuration(subset, params)
+    assert centres and set(centres) == {len(subset)}
 
 
 def test_index_matches_the_oracle_at_the_core_tolerance():

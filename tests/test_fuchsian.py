@@ -215,6 +215,14 @@ def test_store_limit_controls_which_levels_keep_words():
         list(bare.words_at(0))
 
 
+def test_words_at_refuses_lengths_outside_the_table():
+    table = orbit_points(0.1j, 3, store_limit=3)
+    assert len(list(table.words_at(3))) == 36
+    for length in (-1, 4):
+        with pytest.raises(ValueError, match="between 0 and 3"):
+            list(table.words_at(length))
+
+
 def test_iter_rows_agrees_with_scalar_evaluation():
     base = 0.1 + 0.2j
     table = orbit_points(base, 3, GAMMA3, store_limit=3)
@@ -572,6 +580,15 @@ def test_diagnostics_threshold_override():
     mixed = blaschke_diagnostics(table, {"theta_converging": theta, "window": 4})
     assert mixed.verdict == "inconclusive"
     assert mixed.as_dict()["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_diagnostics_refuse_a_window_below_one(window):
+    # window 0 read every ratio and -2 all but the first two, each with a verdict
+    table = orbit_points(0j, 8, GAMMA3, store_limit=0)
+    with pytest.raises(ValueError, match="window"):
+        blaschke_diagnostics(table, {"theta_converging": 2.0, "window": window})
+    assert blaschke_diagnostics(table, {"theta_converging": 2.0, "window": 1}).window == 1
 
 
 def test_sphere_sums_decay_for_entry3_but_not_entry2():

@@ -220,6 +220,14 @@ def test_hermitian_matrix_validation():
         m.array[0, 0] = 5.0  # the stored array is read-only
 
 
+def test_empty_matrix_is_refused():
+    # accepted, a 0x0 matrix failed later in numpy's zero-size reductions
+    with pytest.raises(ValueError, match="empty"):
+        HermitianMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="empty"):
+        min_eigenvalue(np.zeros((0, 0)))
+
+
 def test_min_eigenvalue_on_plain_arrays():
     report = min_eigenvalue(np.diag([1.0, -2.0]))
     assert not report.is_psd
