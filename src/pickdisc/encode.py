@@ -37,12 +37,12 @@ order: a subset word's place in the window comes from `_position`, and
 the labels from the letter rows, so `Word` objects are made only for
 search candidates and witnesses.  Word search expands letter rows only
 up to its search length, so it never builds the encoded window.  All
-distance lookups go through one index: the points sorted by real part,
-queried in batches for the points within a Euclidean radius of given
-centres.  Pseudo-hyperbolic balls are Euclidean discs, so the cluster
-queries (isolation, core reconstruction, mapped core points) use the
-same index and decide each candidate with the exact rho expression; each
-anchor is checked against its near neighbours only.
+distance lookups go through one query on one index: the points sorted
+by real part, queried in blocks of a fixed pair budget for the points
+within a Euclidean radius of given centres.  Rho-balls are Euclidean
+discs, so the cluster queries (isolation, core reconstruction, mapped
+core points) pass the exact rho test into that query, which runs it in
+every block; each anchor is checked against its near neighbours only.
 
 Every configuration built from one set of params shares its base: the
 anchor and first two satellites of each window word.  The base's labels,
@@ -359,11 +359,11 @@ class _SortedIndex:
 
     `near` finds, for a batch of centres, every point within a Euclidean
     radius of each; the sort confines each search to the slab of points
-    whose real part is within that radius.  `near` owns the pair budget:
-    every query, through `within_rho` or not, lists its slab candidates
-    in blocks of about `_PAIR_BUDGET`.  A pseudo-hyperbolic ball is a
-    Euclidean disc, so `within_rho` queries the slightly padded disc and
-    keeps the pairs that pass the exact rho expression.
+    whose real part is within that radius.  `near` owns the pair budget
+    and the exact tests: it lists slab candidates in blocks of about
+    `_PAIR_BUDGET` and runs a caller's exact test inside each block.  A
+    pseudo-hyperbolic ball is a Euclidean disc, so `within_rho` queries
+    the slightly padded disc with the exact rho expression as that test.
     """
 
     def __init__(self, points: np.ndarray):
@@ -377,14 +377,15 @@ class _SortedIndex:
         hi = np.searchsorted(self.re, centres.real + radius + _SLAB_PAD, side="right")
         return lo, np.maximum(hi - lo, 0)
 
-    def near(self, centres: np.ndarray, radius) -> tuple:
+    def near(self, centres: np.ndarray, radius, keep=None) -> tuple:
         """Pairs (centre index, point index) with ``|point - centre| <= radius``.
 
-        ``radius`` is a scalar or one value per centre; pairs come out
-        centre by centre, each centre's points in order of real part.
-        The centres are queried in blocks, cut where the running count of
-        slab candidates crosses a multiple of `_PAIR_BUDGET`, so only the
-        kept pairs of all of them exist at once.
+        ``radius`` is a scalar or one value per centre; ``keep(ci, k)``,
+        if given, masks the pairs within ``radius`` by an exact test.
+        Pairs come out centre by centre, each centre's points in order of
+        real part.  The centres are queried in blocks, cut where the running
+        count of slab candidates crosses a multiple of `_PAIR_BUDGET`, and
+        ``keep`` runs in each, so only the kept pairs of all exist at once.
         """
         radius = np.broadcast_to(radius, centres.shape)
         lo, counts = self.slabs(centres, radius)
@@ -397,16 +398,19 @@ class _SortedIndex:
             ci = np.repeat(np.arange(start, stop), size)
             rank = np.arange(ci.shape[0]) - np.repeat(np.cumsum(size) - size - lo[start:stop], size)
             k = self.order[rank]
-            keep = np.abs(self.points[k] - centres[ci]) <= radius[ci]
-            pairs.append((ci[keep], k[keep]))
+            close = np.abs(self.points[k] - centres[ci]) <= radius[ci]
+            ci, k = ci[close], k[close]
+            exact = slice(None) if keep is None else keep(ci, k)
+            pairs.append((ci[exact], k[exact]))
         ci, k = zip(*pairs)
         return np.concatenate(ci), np.concatenate(k)
 
     def within_rho(self, centres: np.ndarray, r: float) -> tuple:
         """Pairs (centre index, point index) with ``rho(centre, point) < r``."""
-        ci, k = self.near(*_rho_disc(centres, r))
-        keep = _pseudo_hyperbolic(centres[ci], self.points[k]) < r
-        return ci[keep], k[keep]
+        def exact(ci, k):
+            return _pseudo_hyperbolic(centres[ci], self.points[k]) < r
+
+        return self.near(*_rho_disc(centres, r), exact)
 
 
 def _rho_disc(centres: np.ndarray, r: float) -> tuple:
@@ -425,9 +429,9 @@ def _first_foreign(
     """The first anchor whose rho-ball of radius ``half`` holds a point of another word.
 
     ``owner`` holds each point's word; the anchor count if no anchor
-    fails.  The points' padded rho discs find their near anchors, and the
-    exact rho from the anchor's side decides each pair.  A ball must hold
-    its anchor, so with ``half <= 0`` every anchor fails.
+    fails.  The points' padded rho discs find their near anchors; inside
+    that query the owner and rho from the anchor's side decide each pair.
+    A ball must hold its anchor, so with ``half <= 0`` every anchor fails.
     """
     n_words = anchors.points.shape[0]
     if not half > 0:
@@ -436,15 +440,16 @@ def _first_foreign(
         # every ball is the whole disc: anchor 0 fails unless it owns
         # every point, and then anchor 1 fails, if there is a point
         return 0 if np.any(owner != 0) else 1 if owner.size else n_words
-    ci, k = anchors.near(*_rho_disc(points, half))
-    foreign = (owner[ci] != k) & (_pseudo_hyperbolic(anchors.points[k], points[ci]) < half)
-    return int(k[foreign].min(initial=n_words))
+    _, k = anchors.near(
+        *_rho_disc(points, half),
+        lambda ci, k: (owner[ci] != k) & (_pseudo_hyperbolic(anchors.points[k], points[ci]) < half),
+    )
+    return int(k.min(initial=n_words))
 
 
 def _coincident(lookup: _SortedIndex) -> bool:
     """Whether two points of the index lie within `_DISTINCT_GAP` of each other."""
-    ci, k = lookup.near(lookup.points, _DISTINCT_GAP)
-    return bool(np.any(ci != k))
+    return bool(lookup.near(lookup.points, _DISTINCT_GAP, np.not_equal)[0].size)
 
 
 def _check_distinct(ref: _Reference, added: _SortedIndex) -> None:

@@ -263,7 +263,7 @@ class OrbitTable:
         level = self.levels[length]
         if level.letters is None:
             raise ValueError(f"words of length {length} were not stored (store_limit)")
-        yield from _row_words(level.letters)
+        return iter(_row_words(level.letters))  # not a generator: the checks run at the call
 
     def iter_rows(self) -> Iterator[tuple]:
         """(word string, length, point, 1 - |point|) over all stored levels."""

@@ -212,11 +212,12 @@ def gram_and_irreducibility(
 ) -> tuple:
     """Gram matrix of kernel sections and a strict-irreducibility verdict.
 
-    Returns ``(G, verdict)`` with ``G_ij = K(z_i, z_j)``.  The verdict is
-    true when every entry has modulus above ``tol`` (no orthogonal pair)
-    and every 2x2 principal minor ``G_ii G_jj - |G_ij|^2`` exceeds
-    ``tol`` (no pair of proportional sections); ``tol`` must be finite
-    and ``>= 0``.
+    Returns ``(G, verdict)`` with ``G_ij = K(z_i, z_j)``.  The verdict,
+    decided on the normalized Gram matrix, is true when every
+    ``|G_ij| / sqrt(G_ii G_jj)`` (no orthogonal pair) and every
+    ``1 - |G_ij|^2 / (G_ii G_jj)`` (no pair of proportional sections)
+    exceeds ``tol``, finite and ``>= 0``.  For the Szego kernel the
+    latter is ``rho(z_i, z_j)^2``, the same at every automorphic image.
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -225,8 +226,7 @@ def gram_and_irreducibility(
         raise ValueError("need at least one point")
     gram = _kernel_gram(kernel, arr, kernel_tol)
     rows, cols = np.triu_indices(len(pts), k=1)
-    moduli = np.abs(gram[rows, cols])
     diag = gram.diagonal().real
-    minors = diag[rows] * diag[cols] - moduli**2
-    verdict = not (np.any(moduli <= tol) or np.any(minors <= tol))
+    cosines = np.abs(gram[rows, cols]) / np.sqrt(diag[rows] * diag[cols])
+    verdict = not (np.any(cosines <= tol) or np.any(1.0 - cosines**2 <= tol))
     return HermitianMatrix(gram), verdict

@@ -562,21 +562,6 @@ def cumulative_product_distance(g: Sequence[float], h: Sequence[float], n_terms:
     return math.fsum(abs(x - y) for x, y in zip(eg, eh))
 
 
-def _scaling_deviation(log_ratios: list, n_exp: int) -> float:
-    """d(g, 1) for the step multiplier built with root exponent n_exp.
-
-    The cumulative log of the multiplier at index n (n <= n1) is
-    ``S_n / n_exp`` with ``S_n = sum_{k<=n} log(t_k/s_k)``; at the
-    correction index the logs cancel exactly and every later product is 1.
-    """
-    acc = 0.0
-    total = 0.0
-    for l in log_ratios:
-        acc += l
-        total += abs(math.expm1(acc / n_exp))
-    return total
-
-
 def turbulence_step(
     s: RatioSequence,
     t: RatioSequence,
@@ -589,10 +574,15 @@ def turbulence_step(
     Returns ``(g, N)`` where ``g`` is a finite multiplier supported on
     indices ``0..n1+1``: ``g_k = (t_k/s_k)^(1/N)`` for ``k <= n1``, a
     single correcting entry ``g_{n1+1} = prod_{j<=n1} (s_j/t_j)^(1/N)``
-    restoring cumulative product 1, and 1 beyond.  ``N`` is the smallest
-    exponent with deviation ``d(g, 1) < eps``; applying ``g`` N times
-    moves ``s_k`` exactly onto ``t_k`` for ``k <= n1`` while every
-    intermediate stays inside (0, 1) coordinatewise.
+    restoring cumulative product 1, and 1 beyond.  ``N`` is decided on
+    the multiplier returned: ``cumulative_product_deviation(g, len(g))``
+    is below ``eps`` at ``N`` and, if ``N > 1``, not at ``N - 1``; the
+    deviation falls with the exponent up to rounding, so ``N`` is the
+    smallest exponent up to rounding.  In floats, applying ``g`` N times
+    moves ``s_k`` onto ``t_k`` for ``k <= n1`` up to a relative error of
+    about 1e-10 (seeded steps, eps down to 1e-6), the product of ``g`` is
+    within a few ulps of 1, and every intermediate stays inside (0, 1)
+    coordinatewise.
 
     The intermediate constraint does not depend on N: each coordinate
     path is monotone between its endpoints, and the correction
@@ -622,9 +612,18 @@ def turbulence_step(
                 f"prod(s/t) * s[n1+1] = {endpoint:.6g} >= 1 for every exponent"
             )
 
+    width = max(len(s.terms), n1 + 2)
+
+    def step(n_exp):
+        g = [math.exp(l / n_exp) for l in log_ratios] + [math.exp(-total_log / n_exp)]
+        return g + [1.0] * (width - len(g))
+
+    def passes(n_exp):
+        return cumulative_product_deviation(step(n_exp), width)[0] < eps
+
     # double hi up to n_max until it passes, then bisect (lo, hi]; lo = 0 fails
     lo, hi = 0, 1
-    while not _scaling_deviation(log_ratios, hi) < eps:
+    while not passes(hi):
         if hi >= n_max:
             raise ScalingStepError(
                 f"no exponent <= {n_max} brings the deviation below eps={eps:g}"
@@ -632,17 +631,11 @@ def turbulence_step(
         lo, hi = hi, min(2 * hi, n_max)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _scaling_deviation(log_ratios, mid) < eps:
+        if passes(mid):
             hi = mid
         else:
             lo = mid
-    n_exp = hi
-
-    g = [math.exp(l / n_exp) for l in log_ratios]
-    g.append(math.exp(-total_log / n_exp))
-    width = max(len(s.terms), n1 + 2)
-    g.extend([1.0] * (width - len(g)))
-    return g, n_exp
+    return step(hi), hi
 
 
 def drury_arveson_inner(alpha: Sequence[int], beta: Sequence[int]) -> Fraction:

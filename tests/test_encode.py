@@ -416,12 +416,22 @@ def test_index_matches_the_brute_force_oracle(window, pairs):
     assert outcomes == {True, False}
 
 
+def _blocked_and_whole(monkeypatch, query):
+    """``query()`` with blocks of a few candidate pairs, ragged, and in one block."""
+    monkeypatch.setattr(encode, "_PAIR_BUDGET", 2**62)
+    whole = query()
+    monkeypatch.setattr(encode, "_PAIR_BUDGET", 7)
+    return query(), whole
+
+
 @pytest.mark.parametrize("half", [PARAMS.eps / 2.0, 0.84, 0.9, 0.97])
 def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
     # orbit points lie at least 2 * eps apart, so only the larger balls
     # hold foreign points.  `_first_foreign` queries the points' rho discs
     # against the anchors; dropping the points that fail its answer
     # exposes the next failing anchor, so every failing anchor is checked.
+    # The other exact tests that run inside `near`'s blocks, `within_rho`
+    # and `_coincident`, are checked the same way.
     ref = encode._reference(PARAMS)
     anchors = ref.grid[:, 0]
     n_words = anchors.shape[0]
@@ -437,16 +447,30 @@ def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
         keep, failed = np.ones(points.shape[0], dtype=bool), []
         while True:
             first = int(np.flatnonzero(np.append(brute[:, keep].sum(axis=1), 1))[0])
-            monkeypatch.setattr(encode, "_PAIR_BUDGET", 2**62)
-            whole = encode._first_foreign(ref.anchors, points[keep], owner[keep], half)
-            monkeypatch.setattr(encode, "_PAIR_BUDGET", 7)  # blocks of a few points, ragged
-            blocked = encode._first_foreign(ref.anchors, points[keep], owner[keep], half)
+            blocked, whole = _blocked_and_whole(
+                monkeypatch,
+                lambda: encode._first_foreign(ref.anchors, points[keep], owner[keep], half),
+            )
             assert blocked == whole == first
             if first == n_words:
                 break
             failed.append(first)
             keep &= ~brute[first]
         assert bool(failed) == (half > 2.0 * PARAMS.eps)
+        # centres just outside each point's ball but inside its padded disc
+        # give pairs that only the exact test in each block drops
+        z = half * (1.0 + 1e-6) * np.exp(0.3j)
+        centres = np.concatenate([anchors, (points - z) / (1.0 - np.conj(points) * z)])
+        index = encode._SortedIndex(points)
+        blocked, whole = _blocked_and_whole(monkeypatch, lambda: index.within_rho(centres, half))
+        assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+        assert set(zip(*blocked)) == set(zip(*np.nonzero(_oracle_rho(centres, points) < half)))
+        padded, _ = index.near(*encode._rho_disc(centres, half))
+        assert padded.size > blocked[0].size + points.shape[0] // 2
+        for doubled in (points, np.concatenate([points, points[::blocks]])):
+            index = encode._SortedIndex(doubled)
+            blocked, whole = _blocked_and_whole(monkeypatch, lambda: encode._coincident(index))
+            assert blocked == whole == (doubled.shape[0] > points.shape[0])
 
 
 def test_a_later_build_queries_isolation_from_its_added_points(monkeypatch):
@@ -456,9 +480,9 @@ def test_a_later_build_queries_isolation_from_its_added_points(monkeypatch):
     build_configuration([W("e")], params)
     centres, near = [], encode._SortedIndex.near
 
-    def recording(self, points, radius):
+    def recording(self, points, radius, keep=None):
         centres.append(points.shape[0])
-        return near(self, points, radius)
+        return near(self, points, radius, keep)
 
     monkeypatch.setattr(encode._SortedIndex, "near", recording)
     subset = [W("ab"), W("bAb"), W("aabbA")]

@@ -207,20 +207,20 @@ def test_orbit_input_validation():
 def test_store_limit_controls_which_levels_keep_words():
     table = orbit_points(0.2, 4, GAMMA3, store_limit=2)
     assert list(table.words_at(2)) == [w for w in enumerate_words(2) if len(w) == 2]
-    with pytest.raises(ValueError):
-        list(table.words_at(3))
+    with pytest.raises(ValueError):  # at the call, before any iteration
+        table.words_at(3)
     assert table.levels[3].sigma > 0.0  # aggregates survive past the limit
     bare = orbit_points(0.2, 2, GAMMA3, store_limit=-1)
     with pytest.raises(ValueError):
-        list(bare.words_at(0))
+        bare.words_at(0)
 
 
 def test_words_at_refuses_lengths_outside_the_table():
     table = orbit_points(0.1j, 3, store_limit=3)
     assert len(list(table.words_at(3))) == 36
-    for length in (-1, 4):
+    for length in (-1, 4, 99):
         with pytest.raises(ValueError, match="between 0 and 3"):
-            list(table.words_at(length))
+            table.words_at(length)  # at the call, before any iteration
 
 
 def test_iter_rows_agrees_with_scalar_evaluation():

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pickdisc.hypgeo import phi_a, rho
 from pickdisc.pick import (
     HermitianMatrix,
     PickProblem,
@@ -328,6 +329,25 @@ def test_large_tolerance_fails_both_irreducibility_clauses():
     assert not verdict
 
 
+@pytest.mark.parametrize("distance", [1e-5, 3e-5, 1e-4, 0.3])
+def test_irreducibility_agrees_across_automorphic_images(distance):
+    # for the Szego kernel the normalized minor is rho^2, so the verdict
+    # must not change when z -> (z + c)/(1 + c z) moves the pair; the raw
+    # minor reads the pair at rho 3e-5 as reducible at c = 0 only
+    kernel = CoefficientSequence.ones(4000)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        z0 = complex(*rng.uniform(-0.15, 0.15, 2))
+        w0 = complex(phi_a(z0, distance * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))))
+        for c in (0.0, 0.5, 0.9, 0.99):
+            z, w = ((p + c) / (1.0 + c * p) for p in (z0, w0))
+            gram, verdict = gram_and_irreducibility(kernel, 1, (z, w))
+            g = gram.array
+            minor = 1.0 - abs(g[0, 1]) ** 2 / (g[0, 0].real * g[1, 1].real)
+            assert minor == pytest.approx(rho(z, w) ** 2, rel=1e-3)
+            assert verdict == (distance**2 > 1e-9)
+
+
 def test_gram_validates_points():
     with pytest.raises(ValueError):
         gram_and_irreducibility(ONES, 1, ())
@@ -405,11 +425,14 @@ def test_irreducibility_verdict_matches_the_pair_loop():
     points = tuple(_ball_point(rng, 2, 0.8 * math.sqrt(rng.random())) for _ in range(12))
     gram, _ = gram_and_irreducibility(ONES, 2, points)
     g = gram.array
-    moduli = [abs(g[i, j]) for i in range(12) for j in range(i + 1, 12)]
-    minors = [
-        g[i, i].real * g[j, j].real - abs(g[i, j]) ** 2 for i in range(12) for j in range(i + 1, 12)
+    # the verdict reads the normalized Gram matrix
+    cosines = [
+        abs(g[i, j]) / math.sqrt(g[i, i].real * g[j, j].real)
+        for i in range(12)
+        for j in range(i + 1, 12)
     ]
+    minors = [1.0 - c * c for c in cosines]
     # both clauses are strict: a tolerance equal to the smallest value fails
-    for tol in (min(moduli), min(minors), math.nextafter(min(minors), 0.0), 1e-9, 10.0):
-        expected = all(m > tol for m in moduli) and all(m > tol for m in minors)
+    for tol in (min(cosines), min(minors), math.nextafter(min(minors), 0.0), 1e-9, 10.0):
+        expected = all(c > tol for c in cosines) and all(m > tol for m in minors)
         assert gram_and_irreducibility(ONES, 2, points, tol=tol)[1] is expected, tol

@@ -478,6 +478,42 @@ def test_turbulence_step_random(n1, s_vals, t_vals, eps):
         _step_invariants(s, t, n1, eps)
 
 
+def _log_sum_deviation(log_ratios, n_exp):
+    """The deviation estimated from the logs: sum over n of |expm1(S_n / N)|."""
+    acc = total = 0.0
+    for l in log_ratios:
+        acc += l
+        total += abs(math.expm1(acc / n_exp))
+    return total
+
+
+def test_turbulence_step_meets_eps_one_ulp_above_the_log_sum_estimate():
+    # with eps one ulp above the log-sum estimate at a random exponent, a
+    # step decided on that estimate returned a multiplier whose measured
+    # deviation reached eps in most of these cases; the exponent before
+    # the one returned must fail the same measurement
+    rng = random.Random(12)
+    feasible = 0
+    for _ in range(400):
+        n1 = rng.randint(0, 6)
+        s = RatioSequence(tuple(rng.uniform(0.2, 0.8) for _ in range(rng.randint(8, 10))))
+        t = RatioSequence(tuple(rng.uniform(0.2, 0.8) for _ in range(len(s.terms))))
+        log_ratios = [math.log(t.terms[k]) - math.log(s.terms[k]) for k in range(n1 + 1)]
+        eps = math.nextafter(_log_sum_deviation(log_ratios, rng.randint(1, 5000)), math.inf)
+        try:
+            g, n_exp = turbulence_step(s, t, n1, eps)
+        except ScalingStepError:
+            continue
+        feasible += 1
+        assert cumulative_product_deviation(g, len(g))[0] < eps
+        if n_exp > 1:
+            prev = [math.exp(l / (n_exp - 1)) for l in log_ratios]
+            prev.append(math.exp(-math.fsum(log_ratios) / (n_exp - 1)))
+            prev += [1.0] * (len(g) - len(prev))
+            assert not cumulative_product_deviation(prev, len(g))[0] < eps
+    assert feasible > 200
+
+
 # ---------------------------------------------------------------------------
 # growth comparison and the shift-space inner product
 # ---------------------------------------------------------------------------
