@@ -407,10 +407,10 @@ class _SortedIndex:
 
     def within_rho(self, centres: np.ndarray, r: float) -> tuple:
         """Pairs (centre index, point index) with ``rho(centre, point) < r``."""
-        def exact(ci, k):
-            return _pseudo_hyperbolic(centres[ci], self.points[k]) < r
-
-        return self.near(*_rho_disc(centres, r), exact)
+        return self.near(
+            *_rho_disc(centres, r),
+            lambda ci, k: _pseudo_hyperbolic(centres[ci], self.points[k]) < r,
+        )
 
 
 def _rho_disc(centres: np.ndarray, r: float) -> tuple:
