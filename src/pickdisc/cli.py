@@ -136,12 +136,6 @@ def _parse_words(text: str) -> list:
         raise UsageError(f"cannot parse word list {text!r}: {exc}") from None
 
 
-def _seq_payload(seq: CoefficientSequence) -> list:
-    if seq.exact:
-        return [str(t) for t in seq.terms]
-    return [float(t) for t in seq.terms]
-
-
 def _jsonable(obj):
     """Coerce Fractions, complexes and numpy scalars into JSON types, non-finite floats to null."""
     if isinstance(obj, dict):
@@ -203,7 +197,7 @@ def _cmd_coeffs(args) -> tuple:
     else:
         a = CoefficientSequence(tuple(_parse_terms(args.from_a, exact)), exact=exact)
         b = b_from_a(a, args.n)
-    return {"a": _seq_payload(a), "b": _seq_payload(b), "exact": exact}, 0
+    return {"a": a.terms, "b": b.terms, "exact": exact}, 0
 
 
 def _cmd_admissible(args) -> tuple:

@@ -518,7 +518,8 @@ def blaschke_diagnostics(table: OrbitTable, thresholds: dict | None = None) -> B
     The last ``window`` ratios are compared to the calibrated threshold:
     all below means "converging", none below means "not converging",
     anything mixed is "inconclusive".  The verdict speaks only about the
-    supplied truncation.
+    supplied truncation, and only up to the thresholds' calibrated depth
+    (``calibration.max_length``, if given): deeper tables read "inconclusive".
     """
     if len(table.levels) < 3:
         raise ValueError("insufficient levels: need at least 3 spheres for a verdict")
@@ -531,7 +532,9 @@ def blaschke_diagnostics(table: OrbitTable, thresholds: dict | None = None) -> B
     ratios = table.sphere_ratios()
     tail = ratios[-window:]
     below = [r < theta for r in tail]
-    if all(below):
+    if table.max_length > thresholds.get("calibration", {}).get("max_length", math.inf):
+        verdict = "inconclusive"
+    elif all(below):
         verdict = "converging"
     elif not any(below):
         verdict = "not converging"

@@ -83,8 +83,8 @@ class PsdReport:
 def _ball_nodes(points, dimension: int, what: str) -> tuple:
     """``points`` as complex tuples and as an ``(n, dimension)`` array, strictly inside the ball.
 
-    The squared norms round as ``sum(abs(c) ** 2 for c in point)`` does (libm ``hypot`` and
-    ``pow``, left to right), so a point next to the sphere keeps that loop's verdict.
+    The squared norms round as a loop adding ``abs(c) ** 2`` left to right does (libm ``hypot``
+    and ``pow``), so a point next to the sphere keeps that loop's verdict.
     """
     pts = tuple(tuple(complex(c) for c in p) for p in points)
     try:

@@ -17,9 +17,9 @@ products, membership diagnostics for the group of multipliers whose
 cumulative products are summably close to 1, and the finite-support
 scaling step that moves one ratio sequence onto another through small
 multiplicative corrections.  Exact sequences run the recursion on
-integers over a growing common denominator; float `b_from_a` updates
-whole columns at a time but keeps the rounding order of the scalar
-loop, so its output is bit for bit that of the loop.
+integers over a growing common denominator; float ones, and the
+cumulative products and sums, keep the rounding order of scalar loops,
+so their output is bit for bit that of the loops.
 
 Conventions
 -----------
@@ -44,9 +44,11 @@ requires no synchronization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -281,7 +283,9 @@ def a_from_b(b: CoefficientSequence, n_terms: int) -> CoefficientSequence:
     entries of ``b`` beyond its truncation count as zero.  Exactness of
     ``b`` carries over to ``a``: exact ``b`` runs the recursion on
     integers over a growing common denominator (`_exact_recursion`),
-    float ``b`` a scalar loop in the order of the sum above.
+    float ``b`` sums each row ``b_k a_{n-k}`` left to right, as the sum
+    above reads, with ``np.add.accumulate``: bit for bit the scalar loop.
+    Terms that overflow raise the finiteness error of `CoefficientSequence`.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
@@ -292,12 +296,12 @@ def a_from_b(b: CoefficientSequence, n_terms: int) -> CoefficientSequence:
     if b.exact:
         a = [Fraction(1)] + _exact_recursion(x, 1)
     else:
-        a = [1.0]
-        for n in range(1, n_terms):
-            acc = 0.0
-            for k in range(1, n + 1):
-                acc += x[k - 1] * a[n - k]
-            a.append(acc)
+        x = np.array(x)
+        a = np.ones(n_terms)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, n_terms):
+                a[n] = np.add.accumulate(x[:n] * a[n - 1 :: -1])[-1]
+        a = a.tolist()
     return CoefficientSequence(tuple(a), exact=b.exact)
 
 
@@ -364,7 +368,8 @@ def check_admissible_log_convex(a: CoefficientSequence, tol: float = 1e-6) -> Ad
             ratios[i + 1] <= ratios[i] * (1.0 + _RATIO_SLACK) for i in range(len(ratios) - 1)
         )
     last_ratio = float(ratios[-1]) if ratios else 1.0
-    partial_sum = float(sum(a.terms))
+    # left to right on every Python; from 3.12 the built-in sum of floats is compensated
+    partial_sum = float(reduce(operator.add, a.terms))
     verdict = bool(a0_is_one and nonincreasing and last_ratio <= 1.0 + tol)
     return AdmissibilityReport(
         a0_is_one=bool(a0_is_one),
@@ -408,8 +413,9 @@ def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: floa
     Errors are raised for the worst entry.
 
     No ratio ``terms[m+1] / terms[m]`` exceeds ``ratio_bound`` and
-    ``ratio_bound |u| < 1``, so each bound decreases with ``M`` and the
-    search bisects term indices.  The sums run Horner's rule from the
+    ``ratio_bound |u| < 1``, so each bound decreases with ``M``; the search
+    lowers ``M`` from ``len(terms) - 1`` by falling powers of two while the
+    bound stays below ``tol``.  The sums run Horner's rule from the
     top term down, over the entries that still need terms.  Every step
     acts on whole arrays of one value per entry; nothing of size
     entries x terms is built.  ``tol`` must be ``> 0``.
@@ -436,14 +442,10 @@ def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: floa
         raise UncertifiedEvaluationError(
             f"tail bound not met within {n} available terms at tol={tol:g}"
         )
-    # bisect (lo, used] while keeping tail(used) < tol; M = 0 is a sentinel
-    lo = np.zeros(u.shape, dtype=np.intp)
     used = np.full(u.shape, n - 1, dtype=np.intp)
-    for _ in range((n - 2).bit_length()):
-        mid = (lo + used + 1) // 2
-        ok = tail(mid) < tol
-        used = np.where(ok, mid, used)
-        lo = np.where(ok, lo, mid)
+    for k in reversed(range((n - 2).bit_length())):
+        lower = np.maximum(used - (1 << k), 1)
+        used = np.where(tail(lower) < tol, lower, used)
     # Horner's rule from the top term down; sorted by decreasing M,
     # entries 0..k need term m exactly when lengths[k] > m >= lengths[k + 1]
     order = np.argsort(-used, kind="stable")
@@ -480,16 +482,6 @@ def kernel_eval(a: CoefficientSequence, u: complex, tol: float = 1e-10) -> Kerne
     return KernelValue(complex(values[0]), float(tails[0]), int(used[0]), ratio_bound)
 
 
-def _partial_products(s: Sequence[float], count: int) -> list:
-    """p_k = s_0 s_1 ... s_k for k < count."""
-    out = []
-    p = 1.0
-    for k in range(count):
-        p *= s[k]
-        out.append(p)
-    return out
-
-
 def log_convex_from_ratios(s: RatioSequence, n_terms: int) -> CoefficientSequence:
     """Log-convex coefficient sequence attached to a ratio sequence.
 
@@ -502,12 +494,8 @@ def log_convex_from_ratios(s: RatioSequence, n_terms: int) -> CoefficientSequenc
         raise ValueError("n_terms must be >= 1")
     if len(s.terms) < n_terms - 1:
         raise ValueError("ratio sequence too short for requested truncation")
-    products = _partial_products(s.terms, n_terms - 1)
-    out = [1.0]
-    acc = 0.0
-    for p in products:
-        acc += p
-        out.append(math.exp(-acc))
+    products = accumulate(s.terms[: n_terms - 1], operator.mul)
+    out = [1.0] + [math.exp(-acc) for acc in accumulate(products)]
     return CoefficientSequence(tuple(out), exact=False)
 
 
@@ -523,14 +511,9 @@ def partial_sum_discrepancy(s: RatioSequence, s_prime: RatioSequence, n_terms: i
         raise ValueError("n_terms must be >= 0")
     if len(s.terms) < n_terms or len(s_prime.terms) < n_terms:
         raise ValueError("both ratio sequences need at least n_terms terms")
-    p = _partial_products(s.terms, n_terms)
-    q = _partial_products(s_prime.terms, n_terms)
-    best = 0.0
-    acc = 0.0
-    for k in range(n_terms):
-        acc += p[k] - q[k]
-        best = max(best, abs(acc))
-    return best
+    p = accumulate(s.terms[:n_terms], operator.mul)
+    q = accumulate(s_prime.terms[:n_terms], operator.mul)
+    return max(map(abs, accumulate(map(operator.sub, p, q))), default=0.0)
 
 
 def cumulative_product_deviation(g: Sequence[float], n_terms: int) -> tuple:
@@ -550,7 +533,7 @@ def cumulative_product_deviation(g: Sequence[float], n_terms: int) -> tuple:
         raise ValueError("g needs at least n_terms terms")
     if any(x <= 0 for x in terms[:n_terms]):
         raise ValueError("g must have strictly positive terms")
-    embedding = [p - 1.0 for p in _partial_products(terms, n_terms)]
+    embedding = [p - 1.0 for p in accumulate(terms[:n_terms], operator.mul)]
     partial = math.fsum(abs(e) for e in embedding)
     return partial, embedding
 

@@ -19,6 +19,8 @@ from pickdisc.fuchsian import (
     LAMBDA2,
     PRESETS,
     GroupPreset,
+    OrbitLevel,
+    OrbitTable,
     Word,
     blaschke_diagnostics,
     calibrate_blaschke_thresholds,
@@ -580,6 +582,28 @@ def test_diagnostics_threshold_override():
     mixed = blaschke_diagnostics(table, {"theta_converging": theta, "window": 4})
     assert mixed.verdict == "inconclusive"
     assert mixed.as_dict()["verdict"] == "inconclusive"
+
+
+def test_diagnostics_deeper_than_the_calibration_are_inconclusive():
+    # GAMMA3 ratios at z = 0: the twelve calibrated ones, then the measured
+    # 0.8486 and 0.8581 of depths 13 and 14, still below theta
+    thresholds = load_blaschke_thresholds()
+    assert thresholds["calibration"]["max_length"] == 12
+    ratios = [*thresholds["calibration"]["gamma3_ratios"], 0.8486, 0.8581]
+    sigmas = list(itertools.accumulate([1.0, *ratios], lambda sigma, r: sigma * r))
+    levels = tuple(
+        OrbitLevel(length, 4 * 3 ** (length - 1) if length else 1, sigma, cumulative, 0.5)
+        for length, (sigma, cumulative) in enumerate(zip(sigmas, itertools.accumulate(sigmas)))
+    )
+    deep = OrbitTable(base=0j, preset_name="GAMMA3", levels=levels)
+    assert deep.max_length == 14
+    assert max(deep.sphere_ratios()[-4:]) < thresholds["theta_converging"]
+    for depth, verdict in ((12, "converging"), (13, "inconclusive"), (14, "inconclusive")):
+        table = OrbitTable(base=0j, preset_name="GAMMA3", levels=levels[: depth + 1])
+        assert blaschke_diagnostics(table).verdict == verdict
+    # thresholds without calibration data set no depth limit
+    bare = {key: value for key, value in thresholds.items() if key != "calibration"}
+    assert blaschke_diagnostics(deep, bare).verdict == "converging"
 
 
 @pytest.mark.parametrize("window", [0, -2])

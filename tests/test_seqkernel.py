@@ -4,8 +4,10 @@ Oracle values are either worked out by hand (and frozen here) or come
 from closed forms: the geometric series for the all-ones sequence and
 the logarithmic series head for b = (1/2, 1/12, 1/24).  The a <-> b
 recursions are also held to plain loops kept here: the exact paths must
-equal the `Fraction` loop, and float `b_from_a` the scalar loop bit for
-bit.
+equal the `Fraction` loop, and the float paths the scalar loops bit for
+bit.  So must the cumulative products and sums of the ratio machinery,
+the admissibility partial sum, and the term count of the certified
+series evaluation (against a first-crossing search over every count).
 """
 
 import cmath
@@ -14,6 +16,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from pickdisc.seqkernel import (
     RatioSequence,
     ScalingStepError,
     UncertifiedEvaluationError,
+    _eval_series,
     a_from_b,
     b_from_a,
     check_admissible_log_convex,
@@ -120,6 +124,18 @@ def _loop_a_from_b(b, n_terms):
     return a
 
 
+def _loop_a_from_b_float(b, n_terms):
+    """a_n = sum_{k<=n} b_k a_{n-k}, one float step at a time, k ascending."""
+    x = list(b[: n_terms - 1]) + [0.0] * (n_terms - 1 - len(b))
+    a = [1.0]
+    for n in range(1, n_terms):
+        acc = 0.0
+        for k in range(1, n + 1):
+            acc += x[k - 1] * a[n - k]
+        a.append(acc)
+    return a
+
+
 def _float_terms(kind, rng, n):
     if kind == "log-convex":
         ratios = RatioSequence([rng.uniform(0.6, 0.98) for _ in range(n - 1)])
@@ -150,6 +166,30 @@ def test_float_b_from_a_overflow_is_the_finiteness_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="sequence terms must be finite"):
             b_from_a(CoefficientSequence.floating(terms))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 17, 256])
+@pytest.mark.parametrize("b_length", ["shorter", "longer"])
+def test_float_a_from_b_is_bit_identical_to_the_scalar_loop(b_length, n_terms, seed):
+    rng = random.Random(f"{b_length}:{n_terms}:{seed}")
+    size = rng.randint(1, max(1, n_terms - 2)) if b_length == "shorter" else n_terms + 3
+    # some zero entries; sums of b around 1 keep 256 terms finite
+    b = [rng.choice([0.0, rng.uniform(0.0, 2.0 / size)]) for _ in range(size)]
+    got = a_from_b(CoefficientSequence.floating(b), n_terms).terms
+    expected = _loop_a_from_b_float(b, n_terms)
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def test_float_a_from_b_overflow_is_the_finiteness_error():
+    b = (1e300, 0.0, 1e300)  # inf by a_2, then inf * 0 makes nan
+    expected = _loop_a_from_b_float(b, 9)
+    assert not all(math.isfinite(x) for x in expected)
+    # the row sums must neither warn nor hide the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sequence terms must be finite"):
+            a_from_b(CoefficientSequence.floating(b), 9)
 
 
 def _squared_rationals(n):
@@ -234,6 +274,22 @@ def test_ratio_bump_flagged():
     a = CoefficientSequence.floating([1.0, 0.5, 1 / 3, 1 / 6])
     report = check_admissible_log_convex(a)
     assert not report.ratios_nonincreasing
+
+
+def test_partial_sum_adds_left_to_right():
+    # 1e-16 is below half an ulp of 1, so a left-to-right float sum stays
+    # at 1; a compensated sum (the built-in `sum` of floats from Python
+    # 3.12 on) would give 1 + 1e-15
+    tiny = check_admissible_log_convex(CoefficientSequence.floating([1.0] + [1e-16] * 10))
+    assert tiny.partial_sum == 1.0
+    rng = random.Random("partial sum")
+    for _ in range(20):
+        ratios = RatioSequence([rng.uniform(0.6, 0.98) for _ in range(255)])
+        a = log_convex_from_ratios(ratios, 256)
+        acc = 0.0
+        for t in a.terms:
+            acc += t
+        assert check_admissible_log_convex(a).partial_sum.hex() == acc.hex()
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +395,30 @@ def test_claimed_tail_covers_a_four_times_longer_truncation(truncation, polar, t
         assert out.tail_bound >= tail * (1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 256])
+def test_eval_series_uses_the_first_count_that_meets_tol(n, seed):
+    rng = random.Random(f"{n}:{seed}")
+    ratios = RatioSequence([rng.uniform(0.3, 0.99) for _ in range(n - 1)])
+    terms, ratio_bound = log_convex_from_ratios(ratios, n)._float_kernel
+    tol = 10.0 ** -rng.uniform(1, 14)
+    radii = [0.0] + [rng.uniform(0.0, 0.95) for _ in range(39)]
+    u = np.array([cmath.rect(r, rng.uniform(0.0, 2 * math.pi)) for r in radii])
+    geom = 1.0 - ratio_bound * np.abs(u)
+
+    def tail(m):  # the bound of `_eval_series`, at counts m (one per entry)
+        return terms[m] * np.abs(u) ** m / geom
+
+    first = np.zeros(u.shape, dtype=np.intp)
+    for m in range(n - 1, 0, -1):
+        first[tail(np.full(u.shape, m, dtype=np.intp)) < tol] = m
+    keep = tail(np.full(u.shape, n - 1, dtype=np.intp)) < tol  # the others are refused
+    assert keep[0] and first[0] == 1  # u = 0 meets tol at one term
+    _, tails, used = _eval_series(terms, ratio_bound, u[keep], tol)
+    assert used.tolist() == first[keep].tolist()
+    assert tails.tolist() == tail(first)[keep].tolist()
+
+
 # ---------------------------------------------------------------------------
 # ratio sequences and the log-convex construction
 # ---------------------------------------------------------------------------
@@ -376,6 +456,55 @@ def test_partial_sum_discrepancy_hand_case():
     s = RatioSequence((0.5,))
     s_prime = RatioSequence((0.25,))
     assert partial_sum_discrepancy(s, s_prime, 1) == pytest.approx(0.25)
+
+
+def _loop_products(s, count):
+    """p_k = s_0 s_1 ... s_k for k < count, one float step at a time."""
+    out, p = [], 1.0
+    for k in range(count):
+        p *= s[k]
+        out.append(p)
+    return out
+
+
+def _loop_log_convex(s, n_terms):
+    out, acc = [1.0], 0.0
+    for p in _loop_products(s, n_terms - 1):
+        acc += p
+        out.append(math.exp(-acc))
+    return out
+
+
+def _loop_discrepancy(s, s_prime, n_terms):
+    p, q = _loop_products(s, n_terms), _loop_products(s_prime, n_terms)
+    best = acc = 0.0
+    for k in range(n_terms):
+        acc += p[k] - q[k]
+        best = max(best, abs(acc))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n_terms", [0, 1, 2, 6, 40])
+def test_ratio_machinery_is_bit_identical_to_the_scalar_loops(n_terms, seed):
+    rng = random.Random(f"ratios:{n_terms}:{seed}")
+    s = [rng.uniform(0.05, 0.98) for _ in range(40)]
+    s_prime = [rng.uniform(0.05, 0.98) for _ in range(40)]
+    got = partial_sum_discrepancy(RatioSequence(s), RatioSequence(s_prime), n_terms)
+    assert got.hex() == _loop_discrepancy(s, s_prime, n_terms).hex()
+    if n_terms == 0:  # only the discrepancy takes an empty window
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            log_convex_from_ratios(RatioSequence(s), 0)
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            cumulative_product_deviation(s, 0)
+        return
+    got = log_convex_from_ratios(RatioSequence(s), n_terms).terms
+    assert [x.hex() for x in got] == [x.hex() for x in _loop_log_convex(s, n_terms)]
+    g = [rng.uniform(0.5, 1.5) for _ in range(40)]
+    total, embedding = cumulative_product_deviation(g, n_terms)
+    expected = [p - 1.0 for p in _loop_products(g, n_terms)]
+    assert [x.hex() for x in embedding] == [x.hex() for x in expected]
+    assert total.hex() == math.fsum(abs(e) for e in expected).hex()
 
 
 def test_cumulative_product_deviation_of_ones():
