@@ -36,13 +36,14 @@ the window is kept as arrays.  `fuchsian` also owns the canonical
 order: a subset word's place in the window comes from `_position`, and
 the labels from the letter rows, so `Word` objects are made only for
 search candidates and witnesses.  Word search expands letter rows only
-up to its search length, so it never builds the encoded window.  All
-distance lookups go through one query on one index: the points sorted
-by real part, queried in blocks of a fixed pair budget for the points
-within a Euclidean radius of given centres.  Rho-balls are Euclidean
-discs, so the cluster queries (isolation, core reconstruction, mapped
-core points) pass the exact rho test into that query, which runs it in
-every block; each anchor is checked against its near neighbours only.
+up to its search length, so it never builds the encoded window, and it
+compares letter tuples.  All distance lookups go through one query on
+one kind of index: points sorted by real part, queried in blocks of a
+fixed pair budget for the points within a Euclidean radius of given
+centres.  Rho-balls are Euclidean discs, so the cluster queries
+(isolation, core reconstruction, mapped core points) pass the exact rho
+test into that query, which runs it in every block; each anchor is
+checked against its near neighbours only.
 
 Every configuration built from one set of params shares its base: the
 anchor and first two satellites of each window word.  The base's labels,
@@ -51,6 +52,13 @@ are computed once per params, together with the word window.  Each build
 then checks only the third satellites of its subset: against the anchors
 near them for isolation, and against every point for distinctness.
 Failures are reported exactly as a check from scratch would report them.
+The equivalence test reads the base's facts once per params and search
+length as well: which base points lie in the core and which pass for
+third satellites there, and, for each candidate that survives the
+screen, the base points near its images of the core base points.  It
+finds a configuration's base points by exact value, walking its points
+against the base, so the decision stays a function of the point set;
+only the other points, the extras, are indexed and looked up per call.
 
 Parameters are frozen per run: ``eps`` is half the calibrated orbit
 separation at the base point, satellites sit at radii eps/30, eps/18,
@@ -70,7 +78,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .fuchsian import GAMMA3, GroupPreset, Word, enumerate_words
-from .fuchsian import _coefficients, _position, _row_strings, _spheres
+from .fuchsian import _coefficients, _position, _reduce_concat, _row_strings, _spheres
 from .hypgeo import (
     _DISTINCT_GAP,
     _disc_point,
@@ -271,6 +279,8 @@ class _Reference(NamedTuple):
     only the third satellites depend on the subset, and a build splices
     them into the base.  The base's isolation and distinctness are
     checked here once, so a build checks only its subset's points.
+    `geometric_equivalence` adds the base's core facts per search length
+    on first use.
     """
 
     mats: np.ndarray
@@ -280,6 +290,7 @@ class _Reference(NamedTuple):
     anchors: "_SortedIndex"  # the anchors, in word order
     foreign: int  # the base's first failing anchor, from `_first_foreign`
     coincide: bool  # whether two base points coincide
+    cores: dict  # search length -> `_BaseCore`, filled by `geometric_equivalence`
 
 
 @lru_cache(maxsize=16)
@@ -300,6 +311,7 @@ def _reference(params: EncodingParams) -> _Reference:
         anchors=anchors,
         foreign=_first_foreign(anchors, base.points, owner, params.eps / 2.0),
         coincide=_coincident(base),
+        cores={},
         labels=tuple(product([text for r in rows for text in _row_strings(r)], range(3))),
     )
 
@@ -386,19 +398,22 @@ class _SortedIndex:
         real part.  The centres are queried in blocks, cut where the running
         count of slab candidates crosses a multiple of `_PAIR_BUDGET`, and
         ``keep`` runs in each, so only the kept pairs of all exist at once.
+        A query whose candidates fit one budget is one block, with no cut.
         """
-        radius = np.broadcast_to(radius, centres.shape)
         lo, counts = self.slabs(centres, radius)
-        # array methods, not np.diff or np.flatnonzero: small queries pay per call
-        block = (counts.cumsum() - counts) // _PAIR_BUDGET
-        edges = [0, *((block[1:] != block[:-1]).nonzero()[0] + 1).tolist(), centres.shape[0]]
+        edges = [0, centres.shape[0]]
+        if counts.sum() > _PAIR_BUDGET:
+            # array methods, not np.diff or np.flatnonzero: small queries pay per call
+            block = (counts.cumsum() - counts) // _PAIR_BUDGET
+            edges[1:1] = ((block[1:] != block[:-1]).nonzero()[0] + 1).tolist()
+        per_centre = np.ndim(radius) > 0
         pairs = []
         for start, stop in zip(edges, edges[1:]):
             size = counts[start:stop]
             ci = np.repeat(np.arange(start, stop), size)
             rank = np.arange(ci.shape[0]) - np.repeat(np.cumsum(size) - size - lo[start:stop], size)
             k = self.order[rank]
-            close = np.abs(self.points[k] - centres[ci]) <= radius[ci]
+            close = np.abs(self.points[k] - centres[ci]) <= (radius[ci] if per_centre else radius)
             ci, k = ci[close], k[close]
             exact = slice(None) if keep is None else keep(ci, k)
             pairs.append((ci[exact], k[exact]))
@@ -481,8 +496,11 @@ def word_search_equivalence(
         raise _outside_core(window, search_length)
     witness = None
     if len(a) == len(b):
-        candidates = _candidates(search_length)
-        witness = next((g for g in candidates if frozenset(g * w for w in a) == b), None)
+        target = frozenset(w.letters for w in b)
+        for g in _candidates(search_length):
+            if frozenset(_reduce_concat(g.letters, w.letters) for w in a) == target:
+                witness = g
+                break
     return EquivalenceVerdict(
         equivalent=witness is not None,
         mode="word-search",
@@ -510,13 +528,38 @@ def _candidates(search_length: int) -> tuple:
     return tuple(enumerate_words(search_length))
 
 
-def _core_values(lookup: _SortedIndex, anchors: np.ndarray, params: EncodingParams) -> tuple:
-    """Label-free reconstruction of the points living on the core window.
+class _BaseCore(NamedTuple):
+    """What `geometric_equivalence` reads of the base at one search length.
+
+    ``core`` and ``third`` list the base points within eps/2 of a core
+    anchor and those among them that pass for third satellites.
+    ``pairs`` maps (candidate index, 0 for its map or 1 for the inverse)
+    to the pairs (core position, base index) whose base point lies
+    within delta/2 of the map's image of the core point; a candidate's
+    pairs are found when it first survives the screen.
+    """
+
+    core: np.ndarray
+    third: np.ndarray
+    pairs: dict
+
+
+class _Side(NamedTuple):
+    """One configuration's points, split by value into base points and extras."""
+
+    present: np.ndarray  # which base points it holds
+    extras: _SortedIndex  # its other points
+    thirds: np.ndarray  # its points that pass for third satellites of the core
+    others: np.ndarray  # its other core points among the extras
+
+
+def _core_masks(lookup: _SortedIndex, anchors: np.ndarray, params: EncodingParams) -> tuple:
+    """Label-free reconstruction of the index points living on the core window.
 
     The core points are those within eps/2 of a core anchor; the third
     satellites among them are those whose distance to their anchor is
-    within delta/2 of the distance from base to third satellite.  Returns
-    (core points, third satellites).
+    within delta/2 of the distance from base to third satellite.  Both
+    are decided from the anchor's side.  Returns the two masks.
     """
     ci, k = lookup.within_rho(anchors, params.eps / 2.0)
     to_third = rho(params.base, params.satellites[2])
@@ -525,16 +568,89 @@ def _core_values(lookup: _SortedIndex, anchors: np.ndarray, params: EncodingPara
     third = np.zeros_like(core)
     core[k] = True
     third[k[np.abs(gap) < params.delta / 2.0]] = True
-    return lookup.points[core], lookup.points[third]
+    return core, third
 
 
-def _maps_onto(
-    alpha: np.ndarray, beta: np.ndarray, values: np.ndarray, lookup: _SortedIndex, r: float
-) -> np.ndarray:
-    """Per map (alpha, beta), whether it sends every value within rho < r of a point."""
+def _split(points: np.ndarray, base: np.ndarray) -> tuple:
+    """A configuration's points as base points and extras, matched by exact value.
+
+    The points are walked against the base in its word-major order, one
+    compare to each mismatch, and the mismatched point becomes an extra;
+    once the mismatches outnumber the points beyond the base, the rest
+    are extras too.  A build splits into its base and the third
+    satellites it adds.  Returns (present mask over the base, extras),
+    which hold the points as a multiset; every split decides alike,
+    since an extra is looked up like any other point.
+    """
+    present = np.zeros(base.shape[0], dtype=bool)
+    spare = points.shape[0] - base.shape[0]
+    # bit for bit, as pairs of int64, which is cheaper than a complex
+    # compare; only a zero of the other sign falls to the extras
+    bits, base_bits = (np.ascontiguousarray(x).view(np.int64) for x in (points, base))
+    extras, i, j = [], 0, 0
+    while True:
+        n = min(points.shape[0] - i, base.shape[0] - j)
+        differ = bits[2 * i : 2 * (i + n)] != base_bits[2 * j : 2 * (j + n)]
+        m = int(differ.argmax()) // 2 if differ.any() else n
+        present[j : j + m] = True
+        i, j = i + m, j + m
+        if m == n or len(extras) >= spare:
+            break
+        extras.append(i)
+        i += 1
+    return present, np.concatenate([points[extras], points[i:]])
+
+
+def _side(points: np.ndarray, base: np.ndarray, facts: _BaseCore, anchors, params) -> _Side:
+    present, extras = _split(points, base)
+    index = _SortedIndex(extras)
+    core, third = _core_masks(index, anchors, params)
+    thirds = np.concatenate([base[facts.third[present[facts.third]]], extras[third]])
+    return _Side(present, index, thirds, extras[core & ~third])
+
+
+def _lands(alpha, beta, values, base: _SortedIndex, target: _Side, r: float) -> np.ndarray:
+    """Per map (alpha, beta), whether it sends every value within rho < r of a point of ``target``.
+
+    Each image, the centre of its exact test, is looked up among the
+    target's extras; those that find none there are looked up in the
+    base's index among the base points the target holds.
+    """
     images = _moebius(alpha[:, None], beta[:, None], values)
-    ci, _ = lookup.within_rho(images.reshape(-1), r)
-    return np.all(np.bincount(ci, minlength=images.size).reshape(images.shape) > 0, axis=1)
+    flat = images.reshape(-1)
+    hit = np.zeros(flat.shape[0], dtype=bool)
+    if flat.size and target.extras.points.size:
+        hit[target.extras.within_rho(flat, r)[0]] = True
+    rest = (~hit).nonzero()[0]
+    if rest.size:
+        centres = flat[rest]
+        ci, _ = base.near(
+            *_rho_disc(centres, r),
+            lambda ci, k: target.present[k] & (_pseudo_hyperbolic(centres[ci], base.points[k]) < r),
+        )
+        hit[rest[ci]] = True
+    return hit.reshape(images.shape).all(axis=1)
+
+
+def _core_lands(alpha, beta, key, facts: _BaseCore, base, source: _Side, target: _Side, r) -> bool:
+    """Whether one map sends every core point of ``source`` within rho < r of a point of ``target``.
+
+    The map's pairs on the base core are found once per ``key``; a core
+    base point of the source is looked up only when the target holds
+    none of its partners.  The screen has looked up the source's third
+    satellites, so of its extras only the other core points are.
+    """
+    pairs = facts.pairs.get(key)
+    if pairs is None:
+        images = _moebius(alpha[:, None], beta[:, None], base.points[facts.core])
+        found = base.within_rho(images.reshape(-1), r)
+        pairs = facts.pairs[key] = tuple(x.astype(np.int32) for x in found)  # held per params
+    i, j = pairs
+    partnered = np.zeros(facts.core.shape[0], dtype=bool)
+    partnered[i[target.present[j]]] = True
+    alone = facts.core[source.present[facts.core] & ~partnered]
+    values = np.concatenate([base.points[alone], source.others])
+    return bool(_lands(alpha, beta, values, base, target, r)[0])
 
 
 def geometric_equivalence(
@@ -562,6 +678,16 @@ def geometric_equivalence(
     different point counts are then not equivalent, as word search
     rejects subsets of different sizes: equal counts are what rule out
     extra third satellites outside the core.
+
+    Each configuration is split by exact value into the base points it
+    holds and its extras (`_split`).  What the base contributes is read
+    once per params and search length from the reference: its core and
+    third satellites, and each surviving candidate's pairs of core base
+    points and base points within ``delta/2`` of their images.  Per call
+    only the extras are indexed, and an image is looked up among the
+    base points only when no extra lies near it.  A configuration whose
+    points are reordered or edited splits into more extras, and is
+    decided alike, at the cost of indexing them.
     """
     if config_p.params != params or config_q.params != params:
         raise ValueError("both configurations must be built from the given params")
@@ -572,29 +698,30 @@ def geometric_equivalence(
     # the window's words come in canonical length order
     mats = ref.mats[: 2 * 3**search_length - 1]
     anchors = ref.grid[: 2 * 3 ** (window - search_length) - 1, 0]
-    index_q = _SortedIndex(config_q.points)
-    index_p = _SortedIndex(config_p.points)
-    core_p, third_p = _core_values(index_p, anchors, params)
-    core_q, third_q = _core_values(index_q, anchors, params)
-    base_size = 3 * ref.grid.shape[0]
-    if third_p.size < len(config_p) - base_size and third_q.size < len(config_q) - base_size:
+    base = ref.base
+    facts = ref.cores.get(search_length)
+    if facts is None:
+        core, third = _core_masks(base, anchors, params)
+        facts = ref.cores[search_length] = _BaseCore(core.nonzero()[0], third.nonzero()[0], {})
+    p, q = (_side(c.points, base.points, facts, anchors, params) for c in (config_p, config_q))
+    base_size = base.points.shape[0]
+    if p.thirds.size < len(config_p) - base_size and q.thirds.size < len(config_q) - base_size:
         raise _outside_core(window, search_length)
     r = params.delta / 2.0
-
-    def accepted(alpha, beta, values_p, values_q):
-        return _maps_onto(alpha, beta, values_p, index_q, r) & _maps_onto(
-            np.conj(alpha), -beta, values_q, index_p, r
-        )
-
     witness, witness_map = None, None
     if len(config_p) == len(config_q):
         alpha, beta = _coefficients(mats)
-        survivors = np.flatnonzero(accepted(alpha, beta, third_p, third_q))
-        survivors = survivors[accepted(alpha[survivors], beta[survivors], core_p, core_q)]
-        if survivors.size:
-            gi = int(survivors[0])
-            witness = _candidates(search_length)[gi]
-            witness_map = moebius_from_matrix(Mat2(*(int(x) for x in mats[gi].reshape(-1))))
+        maps = ((alpha, beta, p, q), (np.conj(alpha), -beta, q, p))  # each map, then its inverse
+        screened = _lands(alpha, beta, p.thirds, base, q, r).nonzero()[0]
+        screened = screened[_lands(np.conj(alpha[screened]), -beta[screened], q.thirds, base, p, r)]
+        for gi in screened.tolist():
+            if all(
+                _core_lands(a[gi : gi + 1], b[gi : gi + 1], (gi, back), facts, base, src, dst, r)
+                for back, (a, b, src, dst) in enumerate(maps)
+            ):
+                witness = _candidates(search_length)[gi]
+                witness_map = moebius_from_matrix(Mat2(*(int(x) for x in mats[gi].reshape(-1))))
+                break
     return EquivalenceVerdict(
         equivalent=witness is not None,
         mode="geometric",

@@ -389,9 +389,14 @@ def _agree_with_oracle(set_a, set_b, params, search_length):
         pts, labels = _oracle_build(subset, params)
         assert config.points.tobytes() == pts.tobytes()
         assert config.labels == labels
-    verdict = geometric_equivalence(config_a, config_b, params, search_length)
+    return _agree_on_points(config_a, config_b, params, search_length)
+
+
+def _agree_on_points(config_p, config_q, params, search_length):
+    """The verdict, after the oracle gives the same verdict, witness word and witness map."""
+    verdict = geometric_equivalence(config_p, config_q, params, search_length)
     witness_map = verdict.witness_map and (verdict.witness_map.alpha, verdict.witness_map.beta)
-    expected = _oracle_geometric(config_a.points, config_b.points, params, search_length)
+    expected = _oracle_geometric(config_p.points, config_q.points, params, search_length)
     assert (verdict.equivalent, verdict.witness_word, witness_map) == expected
     return verdict
 
@@ -647,6 +652,104 @@ def test_geometric_agrees_with_word_search_on_small_windows(pair):
     geo = _outcome(lambda: geometric_equivalence(config_a, config_b, params, search_length))
     ws = _outcome(lambda: word_search_equivalence(set_a, set_b, params, search_length))
     assert geo == ws
+
+
+# ---------------------------------------------------------------------------
+# base points found by value
+# ---------------------------------------------------------------------------
+#
+# `geometric_equivalence` splits each configuration by value into the base
+# points it holds and its other points, the extras, and reads the base's
+# facts from the reference.  A point the split leaves among the extras is
+# looked up like any other, so configurations that defeat the split must
+# still agree with the oracle.
+
+def _edited(config, kind, rng):
+    """The configuration reordered, or with its last base points replaced."""
+    points = np.array(config.points)
+    k = max(i for i, (_, family) in enumerate(config.labels) if family < 3)
+    if kind == "permuted":
+        points = points[rng.permutation(points.shape[0])]
+    elif kind == "nearby":
+        points[k] = phi_a(points[k], config.params.delta / 8.0)
+    elif kind == "duplicated":
+        points[k] = points[k - 3]
+    elif kind == "foreign":
+        other = make_params(config.params.preset, config.params.window, config.params.base + 0.05)
+        points[k - 1 : k + 1] = encode._reference(other).base.points[rng.choice(k, 2)]
+    return Configuration(points=points, labels=config.labels, params=config.params)
+
+
+@st.composite
+def _split_inputs(draw):
+    """A built configuration at w = 2 to 4, as built or reordered or edited."""
+    window = draw(st.integers(2, 4))
+    params = _small_params(window, draw(st.sampled_from([0j, 0.13 - 0.21j])))
+    subset = draw(st.lists(st.sampled_from(enumerate_words(window)), max_size=4, unique=True))
+    kind = draw(st.sampled_from(["built", "permuted", "nearby", "duplicated", "foreign"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return subset, _edited(build_configuration(subset, params), kind, rng), kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_split_inputs())
+def test_the_split_is_a_multiset_partition_of_the_points(case):
+    subset, config, kind = case
+    ref = encode._reference(config.params)
+    present, extras = encode._split(config.points, ref.base.points)
+    joined = np.concatenate([ref.base.points[present], extras])
+    assert np.sort_complex(joined).tobytes() == np.sort_complex(config.points).tobytes()
+    if kind == "built":
+        added = np.sort([encode._position(w) for w in subset]).astype(int)
+        assert present.all() and extras.tobytes() == ref.grid[added, 3].tobytes()
+    elif kind != "permuted":
+        assert not present.all()
+
+
+@pytest.mark.parametrize("kind", ["permuted", "nearby", "duplicated", "foreign"])
+def test_configurations_that_defeat_the_split_match_the_oracle(kind):
+    # translates and others, with one side reordered or its last base
+    # points, those of the longest words, replaced; each edit leaves some
+    # base points among the extras
+    params = make_params(GAMMA3, window=4)
+    rng = np.random.default_rng(len(kind))
+    outcomes, spilled = set(), 0
+    for set_a, set_b, s in (
+        ([W("e"), W("a")], [W("b"), W("ba")], 2),
+        ([W("A")], [W("bA")], 1),
+        ([W("e"), W("ab")], [W("B"), W("Bab")], 2),
+        ([W("e"), W("a")], [W("a"), W("A")], 2),
+    ):
+        config_a = build_configuration(set_a, params)
+        config_b = build_configuration(set_b, params)
+        base = encode._reference(params).base.points
+        for edit_b in (True, False):
+            edited = _edited(config_b if edit_b else config_a, kind, rng)
+            pair = (config_a, edited) if edit_b else (edited, config_b)
+            outcomes.add(_agree_on_points(*pair, params, s).equivalent)
+            extras = encode._split(edited.points, base)[1]
+            spilled += extras.shape[0] > len(edited) - base.shape[0]
+    assert spilled == 8
+    assert outcomes == {True, False}
+
+
+def test_equivalence_indexes_only_the_points_builds_add(monkeypatch):
+    # the base's facts are read once per params and search length, and each
+    # call indexes only the points that are not base points
+    params = make_params(GAMMA3, window=8)
+    set_a = [W("e"), W("ab"), W("bAb")]
+    config_a = build_configuration(set_a, params)
+    config_b = build_configuration([W("ba") * w for w in set_a], params)
+    sizes, init = [], encode._SortedIndex.__init__
+
+    def recording(self, points):
+        sizes.append(points.shape[0])
+        init(self, points)
+
+    monkeypatch.setattr(encode._SortedIndex, "__init__", recording)
+    for s in (2, 2, 3):
+        assert geometric_equivalence(config_a, config_b, params, s).witness_word == W("ba")
+    assert sizes and max(sizes) <= len(set_a)
 
 
 def _hand_built(**changes):
