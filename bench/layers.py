@@ -14,11 +14,11 @@ one `perfbench/harness.py` writes.
 
 Each row times one call shape in this process with ``time.perf_counter``
 over seeded inputs (`perfbench/inputs.py`): every input is run once
-before timing, so the per-params caches are warm, then ``--passes``
-timed passes run over all inputs, and a row reports the per-call time of
-its median, fastest and slowest pass.  Only the ``first call`` row pays
-its caches: each of its inputs is a fresh set of params, built before
-the clock starts.
+before timing, so the per-params caches are warm, then `PASSES` timed
+passes run over all inputs, and a row reports the per-call time of its
+median, fastest and slowest pass.  Only the ``first call`` row pays its
+caches: each of its passes is one call on a fresh set of params, built
+before the clock starts.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import harness  # noqa: E402
 import inputs  # noqa: E402
 
 PAIRS = 40  # seeded subset pairs (or subsets) per row
+PASSES = 7  # timed passes per row
 MAX_SUBSET = 4
 
 # Each row imports pickdisc itself: `main` puts ``--src`` on the path first.
@@ -57,12 +58,12 @@ def _pairs(window: int, search_length: int, seed: str, count: int = PAIRS) -> li
     return out
 
 
-def _time(calls: list, passes: int) -> dict:
+def _time(calls: list) -> dict:
     """Per-call milliseconds of each timed pass over ``calls``, after one warm pass."""
     for call in calls:
         call()
     per_call = []
-    for _ in range(passes):
+    for _ in range(PASSES):
         start = time.perf_counter()
         for call in calls:
             call()
@@ -81,7 +82,7 @@ def _row(per_call: list, calls: int) -> dict:
     }
 
 
-def _geometric(window: int, search_length: int, passes: int) -> dict:
+def _geometric(window: int, search_length: int) -> dict:
     from pickdisc.encode import build_configuration, geometric_equivalence, make_params
 
     params = make_params(window=window)
@@ -90,16 +91,15 @@ def _geometric(window: int, search_length: int, passes: int) -> dict:
         for a, b in _pairs(window, search_length, f"geometric:{window}:{search_length}")
     ]
     return _time(
-        [lambda p=p, q=q: geometric_equivalence(p, q, params, search_length) for p, q in configs],
-        passes,
+        [lambda p=p, q=q: geometric_equivalence(p, q, params, search_length) for p, q in configs]
     )
 
 
-def _geometric_first_call(window: int, search_length: int, passes: int) -> dict:
+def _geometric_first_call(window: int, search_length: int) -> dict:
     """One call per fresh params, its reference built first: what a one-shot command pays."""
     from pickdisc.encode import build_configuration, geometric_equivalence, make_params
 
-    pairs = _pairs(window, search_length, f"first:{window}:{search_length}", passes)
+    pairs = _pairs(window, search_length, f"first:{window}:{search_length}", PASSES)
     per_call = []
     for index, (a, b) in enumerate(pairs):
         params = make_params(window=window, base=complex(0.0, 0.01 * (index + 1)))
@@ -110,7 +110,7 @@ def _geometric_first_call(window: int, search_length: int, passes: int) -> dict:
     return _row(per_call, 1)
 
 
-def _full_case(window: int, search_length: int, passes: int) -> dict:
+def _full_case(window: int, search_length: int) -> dict:
     """Two builds, geometric and word-search equivalence: one encode-equiv style case."""
     from pickdisc.encode import (
         build_configuration,
@@ -127,26 +127,26 @@ def _full_case(window: int, search_length: int, passes: int) -> dict:
         word_search_equivalence(a, b, params, search_length)
 
     pairs = _pairs(window, search_length, f"case:{window}:{search_length}", PAIRS // 2)
-    return _time([lambda a=a, b=b: case(a, b) for a, b in pairs], passes)
+    return _time([lambda a=a, b=b: case(a, b) for a, b in pairs])
 
 
-def _later_build(window: int, passes: int) -> dict:
+def _later_build(window: int) -> dict:
     from pickdisc.encode import build_configuration, make_params
 
     params = make_params(window=window)
     subsets = [a for a, _ in _pairs(window, 0, f"build:{window}")]
-    return _time([lambda a=a: build_configuration(a, params) for a in subsets], passes)
+    return _time([lambda a=a: build_configuration(a, params) for a in subsets])
 
 
 ROWS = {
-    "encode.geometric_equivalence w=4 s=2": lambda n: _geometric(4, 2, n),
-    "encode.geometric_equivalence w=6 s=2": lambda n: _geometric(6, 2, n),
-    "encode.geometric_equivalence w=6 s=3": lambda n: _geometric(6, 3, n),
-    "encode.geometric_equivalence w=6 s=2, first call": lambda n: _geometric_first_call(6, 2, n),
-    "encode full case w=7 s=3": lambda n: _full_case(7, 3, n),
-    "encode.build_configuration w=6, later builds": lambda n: _later_build(6, n),
-    "encode.build_configuration w=8, later builds": lambda n: _later_build(8, n),
-    "encode.build_configuration w=10, later builds": lambda n: _later_build(10, n),
+    "encode.geometric_equivalence w=4 s=2": lambda: _geometric(4, 2),
+    "encode.geometric_equivalence w=6 s=2": lambda: _geometric(6, 2),
+    "encode.geometric_equivalence w=6 s=3": lambda: _geometric(6, 3),
+    "encode.geometric_equivalence w=6 s=2, first call": lambda: _geometric_first_call(6, 2),
+    "encode full case w=7 s=3": lambda: _full_case(7, 3),
+    "encode.build_configuration w=6, later builds": lambda: _later_build(6),
+    "encode.build_configuration w=8, later builds": lambda: _later_build(8),
+    "encode.build_configuration w=10, later builds": lambda: _later_build(10),
 }
 
 
@@ -155,15 +155,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding pickdisc")
     parser.add_argument("--baseline", help="an earlier output from the same host")
-    parser.add_argument("--passes", type=int, default=7, help="timed passes per row")
     args = parser.parse_args(argv)
-    if args.passes < 1:
-        parser.error("--passes must be at least 1")
     sys.path.insert(0, args.src)
     result = {
         "environment": harness.environment_stamp(seed=0),
         "timer": "time.perf_counter, in process",
-        "rows": {name: measure(args.passes) for name, measure in ROWS.items()},
+        "rows": {name: measure() for name, measure in ROWS.items()},
     }
     if args.baseline:
         baseline = json.loads(Path(args.baseline).read_text())

@@ -536,7 +536,8 @@ class _BaseCore(NamedTuple):
     ``pairs`` maps (candidate index, 0 for its map or 1 for the inverse)
     to the pairs (core position, base index) whose base point lies
     within delta/2 of the map's image of the core point; a candidate's
-    pairs are found when it first survives the screen.
+    pairs are found when it first survives the screen, so ``pairs``
+    holds at most two entries per candidate.
     """
 
     core: np.ndarray
@@ -574,24 +575,36 @@ def _core_masks(lookup: _SortedIndex, anchors: np.ndarray, params: EncodingParam
 def _split(points: np.ndarray, base: np.ndarray) -> tuple:
     """A configuration's points as base points and extras, matched by exact value.
 
-    The points are walked against the base in its word-major order, one
-    compare to each mismatch, and the mismatched point becomes an extra;
-    once the mismatches outnumber the points beyond the base, the rest
-    are extras too.  A build splits into its base and the third
-    satellites it adds.  Returns (present mask over the base, extras),
-    which hold the points as a multiset; every split decides alike,
-    since an extra is looked up like any other point.
+    The points are walked against the base in its word-major order, and
+    each mismatched point becomes an extra; once the mismatches outnumber
+    the points beyond the base, the rest are extras too.  A build splits
+    into its base and the third satellites it adds.  Returns (present
+    mask over the base, extras), which hold the points as a multiset;
+    every split decides alike, since an extra is looked up like any
+    other point.
+
+    Each mismatch is found by compares over windows that start at the
+    points per extra and double until one holds it, so the walk
+    compares each point a bounded number of times.
     """
     present = np.zeros(base.shape[0], dtype=bool)
     spare = points.shape[0] - base.shape[0]
+    first = max(points.shape[0] // max(spare + 1, 1), 1)
     # bit for bit, as pairs of int64, which is cheaper than a complex
     # compare; only a zero of the other sign falls to the extras
     bits, base_bits = (np.ascontiguousarray(x).view(np.int64) for x in (points, base))
     extras, i, j = [], 0, 0
     while True:
         n = min(points.shape[0] - i, base.shape[0] - j)
-        differ = bits[2 * i : 2 * (i + n)] != base_bits[2 * j : 2 * (j + n)]
-        m = int(differ.argmax()) // 2 if differ.any() else n
+        m, width = 0, first
+        while m < n:
+            stop = min(m + width, n)
+            differ = bits[2 * (i + m) : 2 * (i + stop)] != base_bits[2 * (j + m) : 2 * (j + stop)]
+            k = int(differ.argmax())
+            if differ[k]:
+                m += k // 2
+                break
+            m, width = stop, 2 * width
         present[j : j + m] = True
         i, j = i + m, j + m
         if m == n or len(extras) >= spare:

@@ -706,6 +706,34 @@ def test_the_split_is_a_multiset_partition_of_the_points(case):
         assert not present.all()
 
 
+class _CountingBits(np.ndarray):
+    """An array whose ``!=`` counts the elements it compares."""
+
+    compared = 0
+
+    def __ne__(self, other):
+        _CountingBits.compared += self.size
+        return np.not_equal(np.asarray(self), np.asarray(other))
+
+
+def test_the_split_compares_each_point_a_bounded_number_of_times(monkeypatch):
+    # a walk that compares the rest of the points at each mismatch does
+    # about (added points) x (points) / 2 compares on the whole window
+    params = make_params(GAMMA3, window=6)
+    base = encode._reference(params).base.points
+    words = enumerate_words(6)
+    monkeypatch.setattr(np, "ascontiguousarray", lambda x: np.asarray(x).view(_CountingBits))
+    rng = np.random.default_rng(6)
+    for subset in (words, words[::3], words[-1:], []):
+        config = build_configuration(subset, params)
+        for points in (config.points, config.points[rng.permutation(len(config))]):
+            _CountingBits.compared = 0
+            present, extras = encode._split(points, base)
+            assert present.sum() + extras.shape[0] == len(config)
+            # two int64s per point
+            assert _CountingBits.compared <= 2 * 4 * len(config)
+
+
 @pytest.mark.parametrize("kind", ["permuted", "nearby", "duplicated", "foreign"])
 def test_configurations_that_defeat_the_split_match_the_oracle(kind):
     # translates and others, with one side reordered or its last base
