@@ -16,9 +16,10 @@ Each row times one call shape in this process with ``time.perf_counter``
 over seeded inputs (`perfbench/inputs.py`): every input is run once
 before timing, so the per-params caches are warm, then `PASSES` timed
 passes run over all inputs, and a row reports the per-call time of its
-median, fastest and slowest pass.  Only the ``first call`` row pays its
-caches: each of its passes is one call on a fresh set of params, built
-before the clock starts.
+median, fastest and slowest pass.  Only the ``first call`` and ``first
+build`` rows pay their caches: each of their passes is one call on a fresh
+set of params, built before the clock starts.  A first-build row also
+reports the ``tracemalloc`` peak of one more, untimed, build.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -130,6 +132,32 @@ def _full_case(window: int, search_length: int) -> dict:
     return _time([lambda a=a, b=b: case(a, b) for a, b in pairs])
 
 
+def _first_build(window: int) -> dict:
+    """One build per fresh params, which builds its reference: what a one-shot command pays.
+
+    The reference cache is cleared before each pass, so at most one
+    window's reference is held at a time.
+    """
+    from pickdisc.encode import _reference, build_configuration, make_params
+
+    subsets = [a for a, _ in _pairs(window, 0, f"first-build:{window}", PASSES + 1)]
+    per_call, peak = [], None
+    for index, subset in enumerate(subsets):
+        params = make_params(window=window, base=complex(0.0, 0.01 * (index + 1)))
+        _reference.cache_clear()
+        if index == PASSES:  # the last build, untimed, for the memory peak
+            tracemalloc.start()
+            build_configuration(subset, params)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
+        else:
+            start = time.perf_counter()
+            build_configuration(subset, params)
+            per_call.append((time.perf_counter() - start) * 1e3)
+    _reference.cache_clear()
+    return dict(_row(per_call, 1), tracemalloc_peak_mb=peak)
+
+
 def _later_build(window: int) -> dict:
     from pickdisc.encode import build_configuration, make_params
 
@@ -144,6 +172,9 @@ ROWS = {
     "encode.geometric_equivalence w=6 s=3": lambda: _geometric(6, 3),
     "encode.geometric_equivalence w=6 s=2, first call": lambda: _geometric_first_call(6, 2),
     "encode full case w=7 s=3": lambda: _full_case(7, 3),
+    "encode.build_configuration w=6, first build": lambda: _first_build(6),
+    "encode.build_configuration w=8, first build": lambda: _first_build(8),
+    "encode.build_configuration w=10, first build": lambda: _first_build(10),
     "encode.build_configuration w=6, later builds": lambda: _later_build(6),
     "encode.build_configuration w=8, later builds": lambda: _later_build(8),
     "encode.build_configuration w=10, later builds": lambda: _later_build(10),

@@ -46,11 +46,11 @@ test into that query, which runs it in every block; each anchor is
 checked against its near neighbours only.
 
 Every configuration built from one set of params shares its base: the
-anchor and first two satellites of each window word.  The base's labels,
-its first failing anchor, its distinctness and an index of its anchors
-are computed once per params, together with the word window.  Each build
-then checks only the third satellites of its subset: against the anchors
-near them for isolation, and against every point for distinctness.
+anchor and first two satellites of each window word.  A subset only
+picks the words that add their third satellite, so isolation and
+distinctness are decided once per params for every point of the window,
+with the word window and the base's labels: each point's first failing
+anchor, and which points coincide.  A build reads the facts of its words.
 Failures are reported exactly as a check from scratch would report them.
 The equivalence test reads the base's facts once per params and search
 length as well: which base points lie in the core and which pass for
@@ -277,40 +277,45 @@ class _Reference(NamedTuple):
     base of a configuration is the anchor and the first two satellites
     of every window word, with their labels read off the letter rows;
     only the third satellites depend on the subset, and a build splices
-    them into the base.  The base's isolation and distinctness are
-    checked here once, so a build checks only its subset's points.
-    `geometric_equivalence` adds the base's core facts per search length
-    on first use.
+    them into the base.  Isolation and distinctness are decided here for
+    every point of the window, third satellites included, so a build
+    reads the facts of its words.  `geometric_equivalence` adds the
+    base's core facts per search length on first use.
     """
 
     mats: np.ndarray
     grid: np.ndarray  # words x families, the four values of each word
     labels: tuple  # (word string, family) for every base point, word-major
     base: "_SortedIndex"  # the base points, word-major
-    anchors: "_SortedIndex"  # the anchors, in word order
     foreign: int  # the base's first failing anchor, from `_first_foreign`
+    third_foreign: np.ndarray  # each third satellite's first failing anchor
     coincide: bool  # whether two base points coincide
+    clash: np.ndarray  # per word, whether its third satellite coincides with a base point
+    twins: tuple  # (word, word) index pairs whose third satellites coincide
     cores: dict  # search length -> `_BaseCore`, filled by `geometric_equivalence`
 
 
 @lru_cache(maxsize=16)
 def _reference(params: EncodingParams) -> _Reference:
-    """The window's matrices and family values, the base and its labels, and the base checks."""
+    """The window's matrices and family values, the base and its labels, and every point's checks."""
     _, mats, _, rows = zip(*_spheres(params.preset, params.window))
     mats = np.concatenate(mats)
     alpha, beta = _coefficients(mats)
     grid = _moebius(alpha[:, None], beta[:, None], np.array(params.quadruple(), dtype=complex))
     grid.setflags(write=False)
     base = _SortedIndex(grid[:, :3].reshape(-1))
-    anchors = _SortedIndex(grid[:, 0])
-    owner = np.repeat(np.arange(grid.shape[0]), 3)
-    return _Reference(  # the labels come last, so the base checks run without them
+    anchors, thirds = _SortedIndex(grid[:, 0]), _SortedIndex(grid[:, 3])
+    words = np.arange(grid.shape[0])
+    half = params.eps / 2.0
+    return _Reference(  # the labels come last, so the checks run without them
         mats=mats,
         grid=grid,
         base=base,
-        anchors=anchors,
-        foreign=_first_foreign(anchors, base.points, owner, params.eps / 2.0),
-        coincide=_coincident(base),
+        foreign=int(_first_foreign(anchors, base.points, words.repeat(3), half).min()),
+        third_foreign=_first_foreign(anchors, thirds.points, words, half),
+        coincide=bool(base.near(base.points, _DISTINCT_GAP, np.not_equal)[0].size),
+        clash=np.isin(words, base.near(thirds.points, _DISTINCT_GAP)[0]),
+        twins=thirds.near(thirds.points, _DISTINCT_GAP, np.not_equal),
         cores={},
         labels=tuple(product([text for r in rows for text in _row_strings(r)], range(3))),
     )
@@ -335,24 +340,28 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     condition (nothing foreign within eps/2 of any anchor) and pairwise
     distinctness of all points are verified; violations raise
     `EncodingError`, signaling that eps is too large for this window.
-    The anchors and first two satellites are the same for every subset
-    and are checked once per params; each build checks its third
-    satellites against the anchors near them (isolation) and against
-    every point (distinctness).  The first failing anchor is reported
-    whichever points fail it; isolation is reported before distinctness.
-    Points and labels are word-major, families in order: each third
-    satellite is spliced into the base after its word's second satellite.
+    Every point of the window is checked once per params (`_reference`),
+    so a build reads the facts of its words: the first anchor that any
+    of its points fails, and whether one of its third satellites
+    coincides with a base point or with another of them.  The first
+    failing anchor is reported whichever points fail it; isolation is
+    reported before distinctness.  Points and labels are word-major,
+    families in order: each third satellite is spliced into the base
+    after its word's second satellite.
     """
     subset_set = _check_subset(subset, params.window)
     ref = _reference(params)
     new = np.sort(np.fromiter(map(_position, subset_set), dtype=np.intp, count=len(subset_set)))
-    added = _SortedIndex(ref.grid[new, 3])
-    first = min(ref.foreign, _first_foreign(ref.anchors, added.points, new, params.eps / 2.0))
+    first = int(ref.third_foreign[new].min(initial=ref.foreign))
     if first < ref.grid.shape[0]:
         raise EncodingError(
             f"cluster isolation failed near word index {first}: eps is too large for this window"
         )
-    _check_distinct(ref, added)
+    held = np.zeros(ref.grid.shape[0], dtype=bool)
+    held[new] = True
+    i, j = ref.twins
+    if ref.coincide or ref.clash[new].any() or (held[i] & held[j]).any():
+        raise EncodingError("two configuration points coincide")
     cuts = 3 * new + 3
     pieces, lo = [], 0
     for cut in cuts.tolist():
@@ -360,7 +369,7 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
         lo = cut
     pieces.append(ref.labels[lo:])
     return Configuration(
-        points=np.insert(ref.base.points, cuts, added.points),
+        points=np.insert(ref.base.points, cuts, ref.grid[new, 3]),
         labels=tuple(chain.from_iterable(pieces)),
         params=params,
     )
@@ -440,37 +449,28 @@ def _rho_disc(centres: np.ndarray, r: float) -> tuple:
 
 def _first_foreign(
     anchors: _SortedIndex, points: np.ndarray, owner: np.ndarray, half: float
-) -> int:
-    """The first anchor whose rho-ball of radius ``half`` holds a point of another word.
+) -> np.ndarray:
+    """Per point, the first anchor of another word whose rho-ball of radius ``half`` holds it.
 
-    ``owner`` holds each point's word; the anchor count if no anchor
-    fails.  The points' padded rho discs find their near anchors; inside
-    that query the owner and rho from the anchor's side decide each pair.
-    A ball must hold its anchor, so with ``half <= 0`` every anchor fails.
+    ``owner`` holds each point's word, and a point that fails no anchor
+    gets the anchor count.  The points' padded rho discs find their near
+    anchors; inside that query the owner and rho from the anchor's side
+    decide each pair.  A ball must hold its anchor, so with ``half <= 0``
+    every anchor fails.
     """
-    n_words = anchors.points.shape[0]
     if not half > 0:
-        return 0
+        return np.zeros(points.shape[0], dtype=np.intp)
     if half >= 1.0:
-        # every ball is the whole disc: anchor 0 fails unless it owns
-        # every point, and then anchor 1 fails, if there is a point
-        return 0 if np.any(owner != 0) else 1 if owner.size else n_words
-    _, k = anchors.near(
+        # every ball is the whole disc: a point fails anchor 0 unless it
+        # is its own, and then anchor 1, or none if there is no anchor 1
+        return (owner == 0).astype(np.intp)
+    ci, k = anchors.near(
         *_rho_disc(points, half),
         lambda ci, k: (owner[ci] != k) & (_pseudo_hyperbolic(anchors.points[k], points[ci]) < half),
     )
-    return int(k.min(initial=n_words))
-
-
-def _coincident(lookup: _SortedIndex) -> bool:
-    """Whether two points of the index lie within `_DISTINCT_GAP` of each other."""
-    return bool(lookup.near(lookup.points, _DISTINCT_GAP, np.not_equal)[0].size)
-
-
-def _check_distinct(ref: _Reference, added: _SortedIndex) -> None:
-    """No two points, base or added, lie within `_DISTINCT_GAP` of each other."""
-    if ref.coincide or _coincident(added) or ref.base.near(added.points, _DISTINCT_GAP)[0].size:
-        raise EncodingError("two configuration points coincide")
+    first = np.full(points.shape[0], anchors.points.shape[0])
+    np.minimum.at(first, ci, k)
+    return first
 
 
 def word_search_equivalence(

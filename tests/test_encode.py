@@ -433,35 +433,28 @@ def _blocked_and_whole(monkeypatch, query):
 def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
     # orbit points lie at least 2 * eps apart, so only the larger balls
     # hold foreign points.  `_first_foreign` queries the points' rho discs
-    # against the anchors; dropping the points that fail its answer
-    # exposes the next failing anchor, so every failing anchor is checked.
-    # The other exact tests that run inside `near`'s blocks, `within_rho`
-    # and `_coincident`, are checked the same way.
+    # against the anchors and gives each point the first anchor it fails,
+    # which is checked point by point.  The other exact tests that run
+    # inside `near`'s blocks, `within_rho` and the coincidence test, are
+    # checked the same way.
     ref = encode._reference(PARAMS)
     anchors = ref.grid[:, 0]
     n_words = anchors.shape[0]
-    subset = np.sort(np.random.default_rng(7).choice(n_words, n_words // 3, replace=False))
+    anchor_index = encode._SortedIndex(anchors)
     for points, owner, blocks in (
         (ref.base.points, np.repeat(np.arange(n_words), 3), 100),
-        (ref.grid[subset, 3], subset, 20),
+        (ref.grid[:, 3], np.arange(n_words), 20),
     ):
         foreign = owner[None, :] != np.arange(n_words)[:, None]
         brute = (_oracle_rho(anchors, points) < half) & foreign
-        _, slab = ref.anchors.slabs(*encode._rho_disc(points, half))
+        _, slab = anchor_index.slabs(*encode._rho_disc(points, half))
         assert slab.sum() > blocks * 7 and slab.max() > 7  # many blocks, some of one point
-        keep, failed = np.ones(points.shape[0], dtype=bool), []
-        while True:
-            first = int(np.flatnonzero(np.append(brute[:, keep].sum(axis=1), 1))[0])
-            blocked, whole = _blocked_and_whole(
-                monkeypatch,
-                lambda: encode._first_foreign(ref.anchors, points[keep], owner[keep], half),
-            )
-            assert blocked == whole == first
-            if first == n_words:
-                break
-            failed.append(first)
-            keep &= ~brute[first]
-        assert bool(failed) == (half > 2.0 * PARAMS.eps)
+        first = np.where(brute.any(axis=0), brute.argmax(axis=0), n_words)
+        blocked, whole = _blocked_and_whole(
+            monkeypatch, lambda: encode._first_foreign(anchor_index, points, owner, half)
+        )
+        assert np.array_equal(blocked, first) and np.array_equal(whole, first)
+        assert bool((first < n_words).any()) == (half > 2.0 * PARAMS.eps)
         # centres just outside each point's ball but inside its padded disc
         # give pairs that only the exact test in each block drops
         z = half * (1.0 + 1e-6) * np.exp(0.3j)
@@ -474,25 +467,27 @@ def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
         assert padded.size > blocked[0].size + points.shape[0] // 2
         for doubled in (points, np.concatenate([points, points[::blocks]])):
             index = encode._SortedIndex(doubled)
-            blocked, whole = _blocked_and_whole(monkeypatch, lambda: encode._coincident(index))
-            assert blocked == whole == (doubled.shape[0] > points.shape[0])
+            blocked, whole = _blocked_and_whole(
+                monkeypatch, lambda: index.near(index.points, encode._DISTINCT_GAP, np.not_equal)
+            )
+            assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
+            assert bool(blocked[0].size) == (doubled.shape[0] > points.shape[0])
 
 
-def test_a_later_build_queries_isolation_from_its_added_points(monkeypatch):
-    # every index query of a later build has one centre per added point:
-    # isolation, like distinctness, queries from the points the build adds
+def test_a_later_build_runs_no_index_query(monkeypatch):
+    # every point of the window is checked once per params, so a later
+    # build only reads the facts of its words
     params = make_params(GAMMA3, window=8)
     build_configuration([W("e")], params)
-    centres, near = [], encode._SortedIndex.near
 
-    def recording(self, points, radius, keep=None):
-        centres.append(points.shape[0])
-        return near(self, points, radius, keep)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a later build made or queried an index")
 
-    monkeypatch.setattr(encode._SortedIndex, "near", recording)
+    monkeypatch.setattr(encode._SortedIndex, "near", refuse)
+    monkeypatch.setattr(encode._SortedIndex, "__init__", refuse)
     subset = [W("ab"), W("bAb"), W("aabbA")]
-    build_configuration(subset, params)
-    assert centres and set(centres) == {len(subset)}
+    config = build_configuration(subset, params)
+    assert len(config) == 3 * encode._reference(params).grid.shape[0] + len(subset)
 
 
 def test_index_matches_the_oracle_at_the_core_tolerance():
@@ -851,10 +846,10 @@ def _build_matches_oracle(subset, params):
 # the per-subset checks against brute force
 # ---------------------------------------------------------------------------
 #
-# A build checks the anchors and first two satellites once per params and
-# then only the third satellites of its subset.  The hand-built params
-# below put those third satellites where they collide with, or intrude
-# on, other points, so only the per-subset checks can catch them.
+# Every point of the window is checked once per params, and a build
+# combines the facts of its words.  The hand-built params below put third
+# satellites where they collide with, or intrude on, other points, so the
+# outcome depends on which words the subset holds.
 
 _ORBIT = {
     text: moebius_from_matrix(word_to_matrix(W(text), GAMMA3))(0j) for text in ("a", "AAA")
@@ -893,18 +888,21 @@ def test_foreign_third_satellite_fails_only_the_subsets_carrying_it():
             assert not isinstance(expected, str)
 
 
-def test_third_satellites_of_two_words_coincide_at_an_elliptic_fixed_point():
+def _elliptic_params():
     # a is a rotation of order 3 about (2 - sqrt 3) i, so third satellites
     # placed there coincide for e, a and A, and with no other point
-    rot = GroupPreset("ROT", Mat2(0, -1, 1, 1), Mat2(1, 0, 3, 1))
-    params = EncodingParams(
-        preset=rot,
+    return EncodingParams(
+        preset=GroupPreset("ROT", Mat2(0, -1, 1, 1), Mat2(1, 0, 3, 1)),
         base=0.5j,
         eps=0.05,
         satellites=(0.501j, 0.5j + 0.002, 1j * (2.0 - math.sqrt(3.0))),
         delta=0.05 / 400.0,
         window=1,
     )
+
+
+def test_third_satellites_of_two_words_coincide_at_an_elliptic_fixed_point():
+    params = _elliptic_params()
     for subset, coincide in (
         ([], False),
         ([W("e")], False),
@@ -932,14 +930,26 @@ def test_third_satellites_of_two_words_coincide_at_an_elliptic_fixed_point():
         # coincident base points are reported after the subset's isolation
         ("second", [], "two configuration points coincide"),
         ("second", [W("e")], _isolation_message(1)),
+        # with a sound base, the first anchor that any subset word fails
+        ("first", [W("b")], _isolation_message(11)),
+        ("first", [W("b"), W("e")], _isolation_message(1)),
+        # twin third satellites coincide only when both words are present
+        ("elliptic", [W("a")], None),
+        ("elliptic", [W("A"), W("b")], None),
+        ("elliptic", [W("a"), W("A")], "two configuration points coincide"),
     ],
-    ids=["base", "subset-first", "base-first", "both", "base-coincide", "isolation-first"],
+    ids=["base", "subset-first", "base-first", "both", "base-coincide", "isolation-first",
+         "subset-one-word", "subset-two-words", "twin-alone", "twin-and-other", "twin-pair"],
 )
 def test_failures_of_base_and_subset_are_reported_as_from_scratch(first, subset, expected):
-    s = make_params(window=2).satellites
-    sat1 = _ORBIT["AAA"] + 1e-9 if first == "foreign" else s[1]
-    params = _hand_built(satellites=(sat1, s[1], _ORBIT["a"] + 1e-9))
-    assert _build_matches_oracle(subset, params) == expected
+    if first == "elliptic":
+        params = _elliptic_params()
+    else:
+        s = make_params(window=2).satellites
+        sat1 = {"foreign": _ORBIT["AAA"] + 1e-9, "second": s[1]}.get(first, s[0])
+        params = _hand_built(satellites=(sat1, s[1], _ORBIT["a"] + 1e-9))
+    outcome = _build_matches_oracle(subset, params)
+    assert (outcome if isinstance(outcome, str) else None) == expected
 
 
 @pytest.mark.parametrize("window, builds", [(4, 20), (6, 6)])
