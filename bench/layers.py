@@ -1,4 +1,4 @@
-"""Layer timings of the encode layer, written as one BENCH JSON file.
+"""Layer timings of the encode, seqkernel and pick layers, written as one BENCH JSON file.
 
 Run from the root of a checkout:
 
@@ -13,10 +13,14 @@ and refuses a file whose environment stamp differs.  The stamp is the
 one `perfbench/harness.py` writes.
 
 Each row times one call shape in this process with ``time.perf_counter``
-over seeded inputs (`perfbench/inputs.py`): every input is run once
-before timing, so the per-params caches are warm, then `PASSES` timed
-passes run over all inputs, and a row reports the per-call time of its
-median, fastest and slowest pass.  Only the ``first call`` and ``first
+over seeded inputs (`perfbench/inputs.py`, and seeded log-convex kernels
+of 256 terms): every input is run once before timing, so the per-params
+and per-kernel caches are warm, then `PASSES` timed passes run over all
+inputs, and a row reports the per-call time of its median, fastest and
+slowest pass.  The ``seqkernel`` rows are `kernel_eval` on one point of
+the all-ones kernel, and `b_from_a` on float kernels and on the exact
+kernel ``a_n = 1/(n+1)``; the ``pick`` row is `pick_feasible` on
+feasible 16-node problems in the disc.  Only the ``first call`` and ``first
 build`` rows pay their caches: each of their passes is one call on a fresh
 set of params, built before the clock starts.  A first-build row also
 reports the ``tracemalloc`` peak of one more, untimed, build.
@@ -25,7 +29,9 @@ reports the ``tracemalloc`` peak of one more, untimed, build.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import random
 import statistics
 import sys
@@ -39,9 +45,12 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import harness  # noqa: E402
 import inputs  # noqa: E402
 
-PAIRS = 40  # seeded subset pairs (or subsets) per row
+PAIRS = 40  # seeded subset pairs (or subsets, kernels, Pick problems) per row
 PASSES = 7  # timed passes per row
 MAX_SUBSET = 4
+KERNEL_TERMS = 256  # float kernels: 255 seeded successor ratios in [0.6, 0.98]
+EXACT_TERMS = 128  # the exact kernel a_n = 1/(n+1)
+EVAL_CALLS = 200  # one-point kernel_eval calls per pass
 
 # Each row imports pickdisc itself: `main` puts ``--src`` on the path first.
 
@@ -166,6 +175,56 @@ def _later_build(window: int) -> dict:
     return _time([lambda a=a: build_configuration(a, params) for a in subsets])
 
 
+def _kernels(seed: str, count: int = PAIRS) -> list:
+    """Seeded log-convex float kernels of `KERNEL_TERMS` terms."""
+    from pickdisc.seqkernel import RatioSequence, log_convex_from_ratios
+
+    rng = random.Random(seed)
+    return [
+        log_convex_from_ratios(
+            RatioSequence([rng.uniform(0.6, 0.98) for _ in range(KERNEL_TERMS - 1)]), KERNEL_TERMS
+        )
+        for _ in range(count)
+    ]
+
+
+def _kernel_eval(u: complex) -> dict:
+    """One point of the Szego kernel's 256 terms per call, its float terms made once."""
+    from pickdisc.seqkernel import CoefficientSequence, kernel_eval
+
+    a = CoefficientSequence.ones(KERNEL_TERMS)
+    return _time([lambda: kernel_eval(a, u)] * EVAL_CALLS)
+
+
+def _pick_feasible(nodes: int) -> dict:
+    """Feasible problems in the disc of radius 0.9: targets ``c z`` with ``|c| = 0.9 sqrt(a_1)``."""
+    from pickdisc.pick import PickProblem, pick_feasible
+
+    rng = random.Random(f"pick:{nodes}")
+    problems = []
+    for a in _kernels(f"pick-kernels:{nodes}"):
+        points = [inputs.ball_point(rng, 1, 0.9 * math.sqrt(rng.random())) for _ in range(nodes)]
+        c = 0.9 * math.sqrt(a.terms[1]) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        targets = [c * z for (z,) in points]
+        problems.append(PickProblem(kernel=a, dimension=1, nodes=points, targets=targets))
+    return _time([lambda p=p: pick_feasible(p) for p in problems])
+
+
+def _b_from_a_float() -> dict:
+    from pickdisc.seqkernel import b_from_a
+
+    return _time([lambda a=a: b_from_a(a) for a in _kernels("b-from-a")])
+
+
+def _b_from_a_exact() -> dict:
+    from fractions import Fraction
+
+    from pickdisc.seqkernel import CoefficientSequence, b_from_a
+
+    a = CoefficientSequence.exact_rational([Fraction(1, n + 1) for n in range(EXACT_TERMS)])
+    return _time([lambda: b_from_a(a)] * 10)
+
+
 ROWS = {
     "encode.geometric_equivalence w=4 s=2": lambda: _geometric(4, 2),
     "encode.geometric_equivalence w=6 s=2": lambda: _geometric(6, 2),
@@ -178,6 +237,12 @@ ROWS = {
     "encode.build_configuration w=6, later builds": lambda: _later_build(6),
     "encode.build_configuration w=8, later builds": lambda: _later_build(8),
     "encode.build_configuration w=10, later builds": lambda: _later_build(10),
+    "seqkernel.kernel_eval 256 terms, u=0.25+0.25i": lambda: _kernel_eval(0.25 + 0.25j),
+    "seqkernel.kernel_eval 256 terms, u=0.6": lambda: _kernel_eval(0.6),
+    "seqkernel.kernel_eval 256 terms, u=0.8": lambda: _kernel_eval(0.8),
+    "seqkernel.b_from_a float, 256 terms": _b_from_a_float,
+    "seqkernel.b_from_a exact 1/(n+1), 128 terms": _b_from_a_exact,
+    "pick.pick_feasible 16 nodes": lambda: _pick_feasible(16),
 }
 
 

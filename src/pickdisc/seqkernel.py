@@ -17,9 +17,10 @@ products, membership diagnostics for the group of multipliers whose
 cumulative products are summably close to 1, and the finite-support
 scaling step that moves one ratio sequence onto another through small
 multiplicative corrections.  Exact sequences run the recursion on
-integers over a growing common denominator; float ones, and the
+integers over a growing common denominator; float recursions, and the
 cumulative products and sums, keep the rounding order of scalar loops,
-so their output is bit for bit that of the loops.
+so their output is bit for bit that of the loops.  Series evaluation
+states its own rounding (`_eval_series`).
 
 Conventions
 -----------
@@ -415,15 +416,22 @@ def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: floa
     No ratio ``terms[m+1] / terms[m]`` exceeds ``ratio_bound`` and
     ``ratio_bound |u| < 1``, so each bound decreases with ``M``; the search
     lowers ``M`` from ``len(terms) - 1`` by falling powers of two while the
-    bound stays below ``tol``.  The sums run Horner's rule from the
-    top term down, over the entries that still need terms.  Every step
-    acts on whole arrays of one value per entry; nothing of size
-    entries x terms is built.  ``tol`` must be ``> 0``.
+    bound stays below ``tol``.  The sums run Horner's rule from the top
+    term down.  ``tol`` must be ``> 0``.
+
+    A single entry takes its bounds for every ``M`` in one array call,
+    searches them in Python and sums on Python `complex`.  Several
+    entries take each step on whole arrays of one value per entry, over
+    the entries that still need terms; nothing of size entries x terms
+    is built.  Either way ``tails`` and ``used`` are bit for bit the
+    same.  The sums are not: numpy's multiply of arrays of two or more
+    entries may contract to FMA, so a batched value can differ in the
+    last bits from the same point evaluated alone.
     """
     if not tol > 0:
         raise ValueError(f"kernel tolerance must be > 0, got {tol!r}")
     mod_u = np.abs(u)
-    worst = float(np.max(mod_u, initial=0.0))
+    worst = float(mod_u.max(initial=0.0))
     if not worst < 1.0:
         raise ValueError(f"|u| must be < 1, got {worst}")
     n = terms.shape[0]
@@ -438,10 +446,25 @@ def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: floa
     def tail(m):
         return terms[m] * mod_u**m / geom
 
-    if not np.all(tail(n - 1) < tol):
+    if not (tail(n - 1) < tol).all():
         raise UncertifiedEvaluationError(
             f"tail bound not met within {n} available terms at tol={tol:g}"
         )
+    if u.size == 1:
+        # the bits the array steps below give one entry: `np.power` over every
+        # exponent rounds as it does per exponent, and numpy's in-place complex
+        # multiply of one element is the scalar product Python's `complex` makes
+        tails = terms * mod_u ** np.arange(n) / geom
+        used = n - 1
+        for k in reversed(range((n - 2).bit_length())):
+            lower = max(used - (1 << k), 1)
+            if tails[lower] < tol:
+                used = lower
+        z = complex(u[0])
+        acc = 0j
+        for t in terms[used - 1 :: -1].astype(complex).tolist():
+            acc = acc * z + t
+        return np.array([acc]), tails[used : used + 1], np.array([used])
     used = np.full(u.shape, n - 1, dtype=np.intp)
     for k in reversed(range((n - 2).bit_length())):
         lower = np.maximum(used - (1 << k), 1)
@@ -475,7 +498,10 @@ def kernel_eval(a: CoefficientSequence, u: complex, tol: float = 1e-10) -> Kerne
     refused rather than silently truncated.
 
     Requires ``|u| < 1`` and a kernel-normalized sequence (``a_0 = 1``,
-    positive terms).  ``u = 0`` returns exactly 1.
+    positive terms).  ``u = 0`` returns exactly 1.  The value is Horner's
+    rule on Python `complex`; the same point inside a batch of Pick or
+    Gram entries gets the same ``tail_bound`` and ``terms_used``, but its
+    value may differ in the last bits (see `_eval_series`).
     """
     terms, ratio_bound = a._float_kernel
     values, tails, used = _eval_series(terms, ratio_bound, np.array([complex(u)]), tol)

@@ -7,7 +7,8 @@ recursions are also held to plain loops kept here: the exact paths must
 equal the `Fraction` loop, and the float paths the scalar loops bit for
 bit.  So must the cumulative products and sums of the ratio machinery,
 the admissibility partial sum, and the term count of the certified
-series evaluation (against a first-crossing search over every count).
+series evaluation (against a first-crossing search over every count),
+whose one-point value must also equal Horner's rule on Python `complex`.
 """
 
 import cmath
@@ -400,7 +401,8 @@ def test_claimed_tail_covers_a_four_times_longer_truncation(truncation, polar, t
 def test_eval_series_uses_the_first_count_that_meets_tol(n, seed):
     rng = random.Random(f"{n}:{seed}")
     ratios = RatioSequence([rng.uniform(0.3, 0.99) for _ in range(n - 1)])
-    terms, ratio_bound = log_convex_from_ratios(ratios, n)._float_kernel
+    kernel = log_convex_from_ratios(ratios, n)
+    terms, ratio_bound = kernel._float_kernel
     tol = 10.0 ** -rng.uniform(1, 14)
     radii = [0.0] + [rng.uniform(0.0, 0.95) for _ in range(39)]
     u = np.array([cmath.rect(r, rng.uniform(0.0, 2 * math.pi)) for r in radii])
@@ -414,9 +416,44 @@ def test_eval_series_uses_the_first_count_that_meets_tol(n, seed):
         first[tail(np.full(u.shape, m, dtype=np.intp)) < tol] = m
     keep = tail(np.full(u.shape, n - 1, dtype=np.intp)) < tol  # the others are refused
     assert keep[0] and first[0] == 1  # u = 0 meets tol at one term
-    _, tails, used = _eval_series(terms, ratio_bound, u[keep], tol)
+    values, tails, used = _eval_series(terms, ratio_bound, u[keep], tol)
     assert used.tolist() == first[keep].tolist()
     assert tails.tolist() == tail(first)[keep].tolist()
+    # one point alone: the same count and bound, and Horner's rule on Python
+    # complex; the batch's sums may contract to FMA, so they agree up to rounding
+    for z, value, bound, count in zip(u[keep].tolist(), values, tails.tolist(), used.tolist()):
+        alone = kernel_eval(kernel, z, tol)
+        assert (alone.terms_used, alone.tail_bound) == (count, bound)
+        horner = 0j
+        for t in terms[count - 1 :: -1].tolist():
+            horner = horner * z + complex(t)
+        assert alone.value == horner
+        size = math.fsum(terms[:count] * abs(z) ** np.arange(count))
+        assert abs(alone.value - value) <= 8 * count * np.finfo(float).eps * size
+
+
+_ONE_POINT_REFUSALS = {
+    "tol 0": (CoefficientSequence.ones(8), 0.5, 0.0, ValueError),
+    "tol nan": (CoefficientSequence.ones(8), 0.5, math.nan, ValueError),
+    "|u| = 1": (CoefficientSequence.ones(8), 1j, 1e-10, ValueError),
+    "u nan": (CoefficientSequence.ones(8), complex(math.nan, 0.5), 1e-10, ValueError),
+    "one term": (CoefficientSequence.ones(1), 0.5, 1e-10, UncertifiedEvaluationError),
+    "ratio bound": (
+        CoefficientSequence.floating([1.0, 2.0, 3.0, 3.5]), 0.5, 1e-10, UncertifiedEvaluationError
+    ),
+    "tail not met": (CoefficientSequence.ones(8), 0.9, 1e-10, UncertifiedEvaluationError),
+}
+
+
+@pytest.mark.parametrize("case", _ONE_POINT_REFUSALS, ids=list(_ONE_POINT_REFUSALS))
+def test_one_point_refuses_as_a_batch_of_that_point(case):
+    kernel, u, tol, error = _ONE_POINT_REFUSALS[case]
+    terms, ratio_bound = kernel._float_kernel
+    with pytest.raises(error) as alone:
+        kernel_eval(kernel, u, tol)
+    with pytest.raises(error) as batch:
+        _eval_series(terms, ratio_bound, np.array([u, u], dtype=complex), tol)
+    assert (alone.type, str(alone.value)) == (batch.type, str(batch.value))
 
 
 # ---------------------------------------------------------------------------
