@@ -1,4 +1,4 @@
-"""Layer timings of the encode, seqkernel and pick layers, written as one BENCH JSON file.
+"""Layer timings of the encode, fuchsian, seqkernel and pick layers, written as one BENCH JSON file.
 
 Run from the root of a checkout:
 
@@ -20,10 +20,14 @@ inputs, and a row reports the per-call time of its median, fastest and
 slowest pass.  The ``seqkernel`` rows are `kernel_eval` on one point of
 the all-ones kernel, and `b_from_a` on float kernels and on the exact
 kernel ``a_n = 1/(n+1)``; the ``pick`` row is `pick_feasible` on
-feasible 16-node problems in the disc.  Only the ``first call`` and ``first
-build`` rows pay their caches: each of their passes is one call on a fresh
-set of params, built before the clock starts.  A first-build row also
-reports the ``tracemalloc`` peak of one more, untimed, build.
+feasible 16-node problems in the disc.  The ``fuchsian`` rows are
+`enumerate_words` and `orbit_points` (GAMMA3, z = 0.1+0.05i,
+``store_limit=0``); each `orbit_points` pass is one call in a fresh child
+process, which reports its time and its peak RSS (``VmHWM``, Linux only).
+Only the ``first call`` and ``first build`` rows pay their caches: each of
+their passes is one call on a fresh set of params, built before the clock
+starts.  A first-build row also reports the ``tracemalloc`` peak of one
+more, untimed, build.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import json
 import math
 import random
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -175,6 +180,41 @@ def _later_build(window: int) -> dict:
     return _time([lambda a=a: build_configuration(a, params) for a in subsets])
 
 
+def _enumerate_words(max_length: int) -> dict:
+    from pickdisc.fuchsian import enumerate_words
+
+    return _time([lambda: enumerate_words(max_length)])
+
+
+_ORBIT_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from pickdisc.fuchsian import orbit_points
+start = time.perf_counter()
+orbit_points(0.1 + 0.05j, int(sys.argv[2]), store_limit=0)
+elapsed = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
+print(elapsed * 1e3, int(hwm.split()[1]) / 1024.0)
+"""
+
+
+def _orbit_points(max_length: int) -> dict:
+    """One call per fresh child process, of the package this process imported."""
+    import pickdisc
+
+    src = str(Path(pickdisc.__file__).resolve().parents[1])
+    per_call, rss = [], []
+    for _ in range(PASSES):
+        out = subprocess.run(
+            [sys.executable, "-c", _ORBIT_CHILD, src, str(max_length)],
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        per_call.append(float(out[0]))
+        rss.append(float(out[1]))
+    return dict(_row(per_call, 1), peak_rss_mb=max(rss))
+
+
 def _kernels(seed: str, count: int = PAIRS) -> list:
     """Seeded log-convex float kernels of `KERNEL_TERMS` terms."""
     from pickdisc.seqkernel import RatioSequence, log_convex_from_ratios
@@ -231,12 +271,14 @@ ROWS = {
     "encode.geometric_equivalence w=6 s=3": lambda: _geometric(6, 3),
     "encode.geometric_equivalence w=6 s=2, first call": lambda: _geometric_first_call(6, 2),
     "encode full case w=7 s=3": lambda: _full_case(7, 3),
-    "encode.build_configuration w=6, first build": lambda: _first_build(6),
-    "encode.build_configuration w=8, first build": lambda: _first_build(8),
-    "encode.build_configuration w=10, first build": lambda: _first_build(10),
-    "encode.build_configuration w=6, later builds": lambda: _later_build(6),
-    "encode.build_configuration w=8, later builds": lambda: _later_build(8),
-    "encode.build_configuration w=10, later builds": lambda: _later_build(10),
+    **{
+        f"encode.build_configuration w={window}, {kind}": lambda w=window, m=measure: m(w)
+        for kind, measure in (("first build", _first_build), ("later builds", _later_build))
+        for window in (4, 6, 7, 8, 9, 10)
+    },
+    "fuchsian.enumerate_words(10)": lambda: _enumerate_words(10),
+    "fuchsian.orbit_points L=12, fresh process": lambda: _orbit_points(12),
+    "fuchsian.orbit_points L=14, fresh process": lambda: _orbit_points(14),
     "seqkernel.kernel_eval 256 terms, u=0.25+0.25i": lambda: _kernel_eval(0.25 + 0.25j),
     "seqkernel.kernel_eval 256 terms, u=0.6": lambda: _kernel_eval(0.6),
     "seqkernel.kernel_eval 256 terms, u=0.8": lambda: _kernel_eval(0.8),

@@ -31,26 +31,25 @@ and its matrix gives the witness map.  Verdicts are statements about
 the supplied windows, recorded in the verdict metadata.
 
 The word window comes from the package's one breadth-first expansion
-(`fuchsian`), which gives every word's matrix and letter row at once;
-the window is kept as arrays.  `fuchsian` also owns the canonical
-order: a subset word's place in the window comes from `_position`, and
-the labels from the letter rows, so `Word` objects are made only for
-search candidates and witnesses.  Word search expands letter rows only
-up to its search length, so it never builds the encoded window, and it
-compares letter tuples.  All distance lookups go through one query on
-one kind of index: points sorted by real part, queried in blocks of a
-fixed pair budget for the points within a Euclidean radius of given
-centres.  Rho-balls are Euclidean discs, so the cluster queries
-(isolation, core reconstruction, mapped core points) pass the exact rho
-test into that query, which runs it in every block; each anchor is
-checked against its near neighbours only.
+(`fuchsian`), whose matrices the window keeps as arrays; a subset
+word's place in it comes from `_position`, so `Word` objects are made
+only for search candidates and witnesses.  Word search expands letter
+rows only up to its search length, so it never builds the encoded
+window, and it compares letter tuples.  Labels are a function of the
+points, read off the window by exact value when first asked for.  All
+distance lookups go through one query on one kind of index: points
+sorted by real part, queried in blocks of a fixed pair budget for the
+points within a Euclidean radius of given centres.  Every rho-ball
+lookup (isolation, core reconstruction, mapped core points) asks
+`_SortedIndex.within_rho` from the ball's centre, which runs the exact
+rho test, and any test of the caller's, in every block.
 
 Every configuration built from one set of params shares its base: the
 anchor and first two satellites of each window word.  A subset only
 picks the words that add their third satellite, so isolation and
 distinctness are decided once per params for every point of the window,
-with the word window and the base's labels: each point's first failing
-anchor, and which points coincide.  A build reads the facts of its words.
+with the word window: each point's first failing anchor, and which
+points coincide.  A build reads the facts of its words.
 Failures are reported exactly as a check from scratch would report them.
 The equivalence test reads the base's facts once per params and search
 length as well: which base points lie in the core and which pass for
@@ -71,8 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, product
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -200,26 +198,38 @@ def make_params(
 
 @dataclass(frozen=True)
 class Configuration:
-    """An encoded subset: points with retained (but maskable) provenance.
+    """An encoded subset: a point set in the disc, with the params of its window.
 
-    ``labels[k]`` records ``(word string, family index)`` for point
-    ``k``.  Labels exist for testing and export; the equivalence
-    procedures never read them.
+    ``labels[k]`` is ``(word string, family index)`` for point ``k``,
+    read off the window by exact value on first access: the first equal
+    base point (word-major), else the first equal third satellite, else
+    ``(None, None)``.  Labels exist for testing and export; the
+    equivalence procedures never read them.
     """
 
     points: np.ndarray
-    labels: tuple
     params: EncodingParams
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).reshape(-1)
-        if pts.shape[0] != len(self.labels):
-            raise ValueError("points and labels must have equal length")
         if not np.max(np.abs(pts), initial=0.0) < 1.0:
             raise ValueError("configuration points must lie strictly inside the disc")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", tuple(self.labels))
+
+    @cached_property
+    def labels(self) -> tuple:
+        ref = _reference(self.params)
+        _, _, _, rows = zip(*_spheres(self.params.preset, self.params.window))
+        texts = [text for r in rows for text in _row_strings(r)]
+        labels = [(None, None)] * len(self)
+        # pairs of equal value (radius 0); later assignments win, so a base
+        # match beats a third satellite, and a lower index a higher one
+        for index, per_word, family in ((ref.thirds, 1, 3), (ref.base, 3, 0)):
+            ci, k = index.near(self.points, 0.0)
+            for c, j in zip(ci[::-1].tolist(), k[::-1].tolist()):
+                labels[c] = (texts[j // per_word], family + j % per_word)
+        return tuple(labels)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -229,11 +239,7 @@ class Configuration:
         order = list(order)
         if sorted(order) != list(range(len(self))):
             raise ValueError("order must be a permutation of the point indices")
-        return Configuration(
-            points=self.points[order],
-            labels=tuple(self.labels[i] for i in order),
-            params=self.params,
-        )
+        return Configuration(points=self.points[order], params=self.params)
 
 
 @dataclass(frozen=True)
@@ -270,23 +276,22 @@ class EquivalenceVerdict:
 
 
 class _Reference(NamedTuple):
-    """What every configuration built from one params shares.
+    """What every configuration built from one params shares: geometry only.
 
     The window is held as arrays in canonical word order: the matrices
-    of `fuchsian._spheres` and the four family values of each word.  The
-    base of a configuration is the anchor and the first two satellites
-    of every window word, with their labels read off the letter rows;
-    only the third satellites depend on the subset, and a build splices
-    them into the base.  Isolation and distinctness are decided here for
-    every point of the window, third satellites included, so a build
-    reads the facts of its words.  `geometric_equivalence` adds the
-    base's core facts per search length on first use.
+    of `fuchsian._spheres`, the four family values of each word, and
+    indexes of the base (the anchor and first two satellites of every
+    word) and of the third satellites, which a build inserts into the
+    base for its subset's words.  Isolation and distinctness are decided
+    here for every point of the window, so a build reads the facts of
+    its words.  `geometric_equivalence` adds the base's core facts per
+    search length on first use.
     """
 
     mats: np.ndarray
     grid: np.ndarray  # words x families, the four values of each word
-    labels: tuple  # (word string, family) for every base point, word-major
     base: "_SortedIndex"  # the base points, word-major
+    thirds: "_SortedIndex"  # the third satellites, one per word
     foreign: int  # the base's first failing anchor, from `_first_foreign`
     third_foreign: np.ndarray  # each third satellite's first failing anchor
     coincide: bool  # whether two base points coincide
@@ -297,27 +302,26 @@ class _Reference(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _reference(params: EncodingParams) -> _Reference:
-    """The window's matrices and family values, the base and its labels, and every point's checks."""
-    _, mats, _, rows = zip(*_spheres(params.preset, params.window))
+    """The window's matrices, family values and indexes, and every point's checks."""
+    _, mats, _, _ = zip(*_spheres(params.preset, params.window))
     mats = np.concatenate(mats)
     alpha, beta = _coefficients(mats)
     grid = _moebius(alpha[:, None], beta[:, None], np.array(params.quadruple(), dtype=complex))
     grid.setflags(write=False)
-    base = _SortedIndex(grid[:, :3].reshape(-1))
-    anchors, thirds = _SortedIndex(grid[:, 0]), _SortedIndex(grid[:, 3])
+    base, thirds = _SortedIndex(grid[:, :3].reshape(-1)), _SortedIndex(grid[:, 3])
     words = np.arange(grid.shape[0])
     half = params.eps / 2.0
-    return _Reference(  # the labels come last, so the checks run without them
+    return _Reference(
         mats=mats,
         grid=grid,
         base=base,
-        foreign=int(_first_foreign(anchors, base.points, words.repeat(3), half).min()),
-        third_foreign=_first_foreign(anchors, thirds.points, words, half),
+        thirds=thirds,
+        foreign=int(_first_foreign(base, grid[:, 0], words.repeat(3), half).min()),
+        third_foreign=_first_foreign(thirds, grid[:, 0], words, half),
         coincide=bool(base.near(base.points, _DISTINCT_GAP, np.not_equal)[0].size),
         clash=np.isin(words, base.near(thirds.points, _DISTINCT_GAP)[0]),
         twins=thirds.near(thirds.points, _DISTINCT_GAP, np.not_equal),
         cores={},
-        labels=tuple(product([text for r in rows for text in _row_strings(r)], range(3))),
     )
 
 
@@ -345,9 +349,10 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     of its points fails, and whether one of its third satellites
     coincides with a base point or with another of them.  The first
     failing anchor is reported whichever points fail it; isolation is
-    reported before distinctness.  Points and labels are word-major,
-    families in order: each third satellite is spliced into the base
-    after its word's second satellite.
+    reported before distinctness.  Points are word-major, families in
+    order: each third satellite is inserted into the base after its
+    word's second satellite.  The labels are not built here; the
+    configuration reads them off its points when asked.
     """
     subset_set = _check_subset(subset, params.window)
     ref = _reference(params)
@@ -362,17 +367,8 @@ def build_configuration(subset: Iterable[Word], params: EncodingParams) -> Confi
     i, j = ref.twins
     if ref.coincide or ref.clash[new].any() or (held[i] & held[j]).any():
         raise EncodingError("two configuration points coincide")
-    cuts = 3 * new + 3
-    pieces, lo = [], 0
-    for cut in cuts.tolist():
-        pieces += (ref.labels[lo:cut], [(ref.labels[cut - 3][0], 3)])
-        lo = cut
-    pieces.append(ref.labels[lo:])
-    return Configuration(
-        points=np.insert(ref.base.points, cuts, ref.grid[new, 3]),
-        labels=tuple(chain.from_iterable(pieces)),
-        params=params,
-    )
+    points = np.insert(ref.base.points, 3 * new + 3, ref.grid[new, 3])
+    return Configuration(points=points, params=params)
 
 
 class _SortedIndex:
@@ -383,8 +379,9 @@ class _SortedIndex:
     whose real part is within that radius.  `near` owns the pair budget
     and the exact tests: it lists slab candidates in blocks of about
     `_PAIR_BUDGET` and runs a caller's exact test inside each block.  A
-    pseudo-hyperbolic ball is a Euclidean disc, so `within_rho` queries
-    the slightly padded disc with the exact rho expression as that test.
+    pseudo-hyperbolic ball is a Euclidean disc, so `within_rho`, the one
+    rho-ball query, asks for the slightly padded disc about each centre
+    with the exact rho expression as that test.
     """
 
     def __init__(self, points: np.ndarray):
@@ -429,47 +426,46 @@ class _SortedIndex:
         ci, k = zip(*pairs)
         return np.concatenate(ci), np.concatenate(k)
 
-    def within_rho(self, centres: np.ndarray, r: float) -> tuple:
-        """Pairs (centre index, point index) with ``rho(centre, point) < r``."""
-        return self.near(
-            *_rho_disc(centres, r),
-            lambda ci, k: _pseudo_hyperbolic(centres[ci], self.points[k]) < r,
-        )
+    def within_rho(self, centres: np.ndarray, r: float, keep=None) -> tuple:
+        """Pairs (centre index, point index) with ``rho(centre, point) < r``, and ``keep`` if given.
 
+        The padded disc of each centre's rho-ball is queried with rho from
+        the centre's side, and ``keep(ci, k)``, as the exact test.
+        """
+        if r >= 1.0:
+            discs, radius = centres, 2.0  # the whole disc
+        else:
+            mod_sq = np.abs(centres) ** 2
+            shrink = 1.0 - r * r * mod_sq
+            discs = centres * (1.0 - r * r) / shrink
+            radius = r * (1.0 - mod_sq) / shrink * (1.0 + _RHO_PAD) + _SLAB_PAD
 
-def _rho_disc(centres: np.ndarray, r: float) -> tuple:
-    """Centres and radii of Euclidean discs holding the rho-balls of radius ``r``, padded."""
-    if r >= 1.0:
-        return centres, 2.0  # the whole disc
-    mod_sq = np.abs(centres) ** 2
-    shrink = 1.0 - r * r * mod_sq
-    disc_centres = centres * (1.0 - r * r) / shrink
-    return disc_centres, r * (1.0 - mod_sq) / shrink * (1.0 + _RHO_PAD) + _SLAB_PAD
+        def exact(ci, k):
+            close = _pseudo_hyperbolic(centres[ci], self.points[k]) < r
+            return close if keep is None else close & keep(ci, k)
+
+        return self.near(discs, radius, exact)
 
 
 def _first_foreign(
-    anchors: _SortedIndex, points: np.ndarray, owner: np.ndarray, half: float
+    index: _SortedIndex, anchors: np.ndarray, owner: np.ndarray, half: float
 ) -> np.ndarray:
-    """Per point, the first anchor of another word whose rho-ball of radius ``half`` holds it.
+    """Per indexed point, the first foreign anchor whose rho-ball of radius ``half`` holds it.
 
     ``owner`` holds each point's word, and a point that fails no anchor
-    gets the anchor count.  The points' padded rho discs find their near
-    anchors; inside that query the owner and rho from the anchor's side
-    decide each pair.  A ball must hold its anchor, so with ``half <= 0``
-    every anchor fails.
+    gets the anchor count.  Each anchor's ball is asked of the index,
+    and the owner decides each pair inside that query.  A ball must hold
+    its anchor, so with ``half <= 0`` every anchor fails.
     """
     if not half > 0:
-        return np.zeros(points.shape[0], dtype=np.intp)
+        return np.zeros(index.points.shape[0], dtype=np.intp)
     if half >= 1.0:
         # every ball is the whole disc: a point fails anchor 0 unless it
         # is its own, and then anchor 1, or none if there is no anchor 1
         return (owner == 0).astype(np.intp)
-    ci, k = anchors.near(
-        *_rho_disc(points, half),
-        lambda ci, k: (owner[ci] != k) & (_pseudo_hyperbolic(anchors.points[k], points[ci]) < half),
-    )
-    first = np.full(points.shape[0], anchors.points.shape[0])
-    np.minimum.at(first, ci, k)
+    ci, k = index.within_rho(anchors, half, lambda ci, k: owner[k] != ci)
+    first = np.full(index.points.shape[0], anchors.shape[0])
+    np.minimum.at(first, k, ci)
     return first
 
 
@@ -625,9 +621,9 @@ def _side(points: np.ndarray, base: np.ndarray, facts: _BaseCore, anchors, param
 def _lands(alpha, beta, values, base: _SortedIndex, target: _Side, r: float) -> np.ndarray:
     """Per map (alpha, beta), whether it sends every value within rho < r of a point of ``target``.
 
-    Each image, the centre of its exact test, is looked up among the
-    target's extras; those that find none there are looked up in the
-    base's index among the base points the target holds.
+    Each image's rho-ball is asked of the target's extras; those that
+    find none there are asked of the base's index, keeping the base
+    points the target holds.
     """
     images = _moebius(alpha[:, None], beta[:, None], values)
     flat = images.reshape(-1)
@@ -636,11 +632,7 @@ def _lands(alpha, beta, values, base: _SortedIndex, target: _Side, r: float) -> 
         hit[target.extras.within_rho(flat, r)[0]] = True
     rest = (~hit).nonzero()[0]
     if rest.size:
-        centres = flat[rest]
-        ci, _ = base.near(
-            *_rho_disc(centres, r),
-            lambda ci, k: target.present[k] & (_pseudo_hyperbolic(centres[ci], base.points[k]) < r),
-        )
+        ci, _ = base.within_rho(flat[rest], r, lambda ci, k: target.present[k])
         hit[rest[ci]] = True
     return hit.reshape(images.shape).all(axis=1)
 

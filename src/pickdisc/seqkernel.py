@@ -446,7 +446,10 @@ def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: floa
     def tail(m):
         return terms[m] * mod_u**m / geom
 
-    if not (tail(n - 1) < tol).all():
+    # an exponent array, as in the search: `mod_u ** 2` would take `np.square`,
+    # which rounds differently from `np.power` on some bases
+    used = np.full(u.shape, n - 1, dtype=np.intp)
+    if not (tail(used) < tol).all():
         raise UncertifiedEvaluationError(
             f"tail bound not met within {n} available terms at tol={tol:g}"
         )
@@ -465,7 +468,6 @@ def _eval_series(terms: np.ndarray, ratio_bound: float, u: np.ndarray, tol: floa
         for t in terms[used - 1 :: -1].astype(complex).tolist():
             acc = acc * z + t
         return np.array([acc]), tails[used : used + 1], np.array([used])
-    used = np.full(u.shape, n - 1, dtype=np.intp)
     for k in reversed(range((n - 2).bit_length())):
         lower = np.maximum(used - (1 << k), 1)
         used = np.where(tail(lower) < tol, lower, used)

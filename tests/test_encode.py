@@ -9,6 +9,8 @@ oracle (all-pairs distances, no point index) pins the indexed lookups.
 
 import math
 import random
+import tracemalloc
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pickdisc import encode
+from pickdisc import encode, fuchsian
 from pickdisc.encode import (
     Configuration,
     EncodingError,
@@ -140,9 +142,7 @@ def test_coincident_satellites_are_rejected():
 def test_configuration_validation_and_permutation():
     config = build_configuration([W("a")], PARAMS)
     with pytest.raises(ValueError):
-        Configuration(points=config.points, labels=config.labels[:-1], params=PARAMS)
-    with pytest.raises(ValueError):
-        Configuration(points=np.array([1.0 + 0j]), labels=(("e", 0),), params=PARAMS)
+        Configuration(points=np.array([1.0 + 0j]), params=PARAMS)
     order = list(range(len(config)))[::-1]
     flipped = config.permuted(order)
     assert flipped.labels[0] == config.labels[-1]
@@ -257,11 +257,7 @@ def test_geometric_ignores_point_order_and_labels():
     config_b = build_configuration(set_b, PARAMS)
     rng = np.random.default_rng(42)
     shuffled = config_b.permuted(rng.permutation(len(config_b)))
-    masked = Configuration(
-        points=np.array(shuffled.points),
-        labels=(("", 0),) * len(shuffled),
-        params=PARAMS,
-    )
+    masked = Configuration(points=np.array(shuffled.points), params=PARAMS)
     geo = geometric_equivalence(config_a, masked, PARAMS, search_length=2)
     assert geo.equivalent
     assert geo.witness_word == W("B")
@@ -429,30 +425,45 @@ def _blocked_and_whole(monkeypatch, query):
     return query(), whole
 
 
+def _recording_slabs(monkeypatch) -> list:
+    """The slab sizes of every later `_SortedIndex.near` call, one array per call."""
+    sizes, slabs = [], encode._SortedIndex.slabs
+
+    def recording(self, centres, radius):
+        lo, size = slabs(self, centres, radius)
+        sizes.append(size)
+        return lo, size
+
+    monkeypatch.setattr(encode._SortedIndex, "slabs", recording)
+    return sizes
+
+
 @pytest.mark.parametrize("half", [PARAMS.eps / 2.0, 0.84, 0.9, 0.97])
 def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
     # orbit points lie at least 2 * eps apart, so only the larger balls
-    # hold foreign points.  `_first_foreign` queries the points' rho discs
-    # against the anchors and gives each point the first anchor it fails,
-    # which is checked point by point.  The other exact tests that run
-    # inside `near`'s blocks, `within_rho` and the coincidence test, are
-    # checked the same way.
+    # hold foreign points.  `_first_foreign` asks each anchor's rho-ball of
+    # the index of the points and gives each point the first anchor it
+    # fails, which is checked point by point.  The other exact tests that
+    # run inside `near`'s blocks, `within_rho` and the coincidence test,
+    # are checked the same way.
     ref = encode._reference(PARAMS)
     anchors = ref.grid[:, 0]
     n_words = anchors.shape[0]
-    anchor_index = encode._SortedIndex(anchors)
-    for points, owner, blocks in (
-        (ref.base.points, np.repeat(np.arange(n_words), 3), 100),
-        (ref.grid[:, 3], np.arange(n_words), 20),
+    slabs = _recording_slabs(monkeypatch)
+    for points_index, owner, blocks in (
+        (ref.base, np.repeat(np.arange(n_words), 3), 100),
+        (ref.thirds, np.arange(n_words), 20),
     ):
+        points = points_index.points
         foreign = owner[None, :] != np.arange(n_words)[:, None]
         brute = (_oracle_rho(anchors, points) < half) & foreign
-        _, slab = anchor_index.slabs(*encode._rho_disc(points, half))
-        assert slab.sum() > blocks * 7 and slab.max() > 7  # many blocks, some of one point
         first = np.where(brute.any(axis=0), brute.argmax(axis=0), n_words)
+        slabs.clear()
         blocked, whole = _blocked_and_whole(
-            monkeypatch, lambda: encode._first_foreign(anchor_index, points, owner, half)
+            monkeypatch, lambda: encode._first_foreign(points_index, anchors, owner, half)
         )
+        slab = slabs[0]
+        assert slab.sum() > blocks * 7 and slab.max() > 7  # many blocks, some of one anchor
         assert np.array_equal(blocked, first) and np.array_equal(whole, first)
         assert bool((first < n_words).any()) == (half > 2.0 * PARAMS.eps)
         # centres just outside each point's ball but inside its padded disc
@@ -463,8 +474,9 @@ def test_foreign_counts_in_anchor_blocks_match_one_block(monkeypatch, half):
         blocked, whole = _blocked_and_whole(monkeypatch, lambda: index.within_rho(centres, half))
         assert all(np.array_equal(b, w) for b, w in zip(blocked, whole))
         assert set(zip(*blocked)) == set(zip(*np.nonzero(_oracle_rho(centres, points) < half)))
-        padded, _ = index.near(*encode._rho_disc(centres, half))
-        assert padded.size > blocked[0].size + points.shape[0] // 2
+        padded = []  # the pairs in the padded discs, all handed to the exact test
+        index.within_rho(centres, half, lambda ci, k: padded.append(ci.size) or True)
+        assert sum(padded) > blocked[0].size + points.shape[0] // 2
         for doubled in (points, np.concatenate([points, points[::blocks]])):
             index = encode._SortedIndex(doubled)
             blocked, whole = _blocked_and_whole(
@@ -490,6 +502,21 @@ def test_a_later_build_runs_no_index_query(monkeypatch):
     assert len(config) == 3 * encode._reference(params).grid.shape[0] + len(subset)
 
 
+def test_a_first_build_holds_no_label_table():
+    # labels are read off the points when asked for, so the reference keeps
+    # geometry only: at w=8 it and the configuration hold about 3.3 MB, where
+    # a table of 29,523 label tuples took the total to 6.5 MB
+    params = make_params(GAMMA3, window=8, base=0.05 - 0.02j)
+    tracemalloc.start()
+    try:
+        config = build_configuration([W("ab")], params)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(config) == 3 * encode._reference(params).grid.shape[0] + 1
+    assert held < 4 * 2**20
+
+
 def test_index_matches_the_oracle_at_the_core_tolerance():
     # a three-point solve put mapped core points of this translate about
     # 1.1e-8 from their images, beyond a Euclidean 1e-8; the word's own map
@@ -510,7 +537,7 @@ def test_a_moved_base_point_rejects_the_translate():
     points = np.array(config_b.points)
     k = config_b.labels.index(("b", 1))
     points[k] = phi_a(points[k], 3e-3)
-    moved = Configuration(points=points, labels=config_b.labels, params=PARAMS)
+    moved = Configuration(points=points, params=PARAMS)
     assert not geometric_equivalence(config_a, moved, PARAMS, 2).equivalent
     assert _oracle_geometric(config_a.points, points, PARAMS, 2) == (False, None, None)
 
@@ -672,7 +699,7 @@ def _edited(config, kind, rng):
     elif kind == "foreign":
         other = make_params(config.params.preset, config.params.window, config.params.base + 0.05)
         points[k - 1 : k + 1] = encode._reference(other).base.points[rng.choice(k, 2)]
-    return Configuration(points=points, labels=config.labels, params=config.params)
+    return Configuration(points=points, params=config.params)
 
 
 @st.composite
@@ -961,3 +988,79 @@ def test_builds_alternating_two_params_match_the_oracle(window, builds):
     for trial in range(builds):
         subset = [words[i] for i in rng.choice(len(words), trial % 5, replace=False)]
         assert not isinstance(_build_matches_oracle(subset, both[trial % 2]), str)
+
+
+# ---------------------------------------------------------------------------
+# labels read off the points
+# ---------------------------------------------------------------------------
+
+def _oracle_labels(points, params):
+    """Per point, the label of the first equal base point, else of the first equal third satellite."""
+    words, families = _oracle_reference(params)
+    base = np.stack(families[:3], axis=1).reshape(-1)  # word-major
+    labels = []
+    for point in np.asarray(points).tolist():
+        if (base == point).any():
+            k = int((base == point).argmax())
+            labels.append((words[k // 3].to_string(), k % 3))
+        elif (families[3] == point).any():
+            labels.append((words[int((families[3] == point).argmax())].to_string(), 3))
+        else:
+            labels.append((None, None))
+    return tuple(labels)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_split_inputs())
+def test_labels_are_read_off_the_points(case):
+    _subset, config, _kind = case
+    assert config.labels == _oracle_labels(config.points, config.params)
+
+
+@pytest.mark.parametrize("kind", ["permuted", "nearby", "duplicated", "foreign"])
+def test_edited_points_read_their_own_labels(kind):
+    # a moved or foreign point matches no window point, and a duplicated
+    # point repeats the label of the point it copies
+    config = build_configuration([W("e"), W("ab")], PARAMS)
+    edited = _edited(config, kind, np.random.default_rng(len(kind)))
+    labels = edited.labels
+    assert labels == _oracle_labels(edited.points, PARAMS)
+    k = max(i for i, (_, family) in enumerate(config.labels) if family < 3)
+    if kind == "permuted":
+        assert Counter(labels) == Counter(config.labels)
+        point_of = dict(zip(config.labels, config.points.tolist()))
+        assert [point_of[label] for label in labels] == edited.points.tolist()
+    elif kind == "nearby":
+        assert labels[k] == (None, None)
+        assert labels[:k] + labels[k + 1 :] == config.labels[:k] + config.labels[k + 1 :]
+    elif kind == "duplicated":
+        assert labels[k] == labels[k - 3] == config.labels[k - 3]
+    else:
+        assert labels[k - 1 : k + 1] == ((None, None),) * 2
+
+
+def test_a_base_point_wins_over_an_equal_third_satellite():
+    s = make_params(window=2).satellites
+    params = _hand_built(satellites=(s[0], s[1], s[0]))
+    grid = encode._reference(params).grid
+    assert np.array_equal(grid[:, 3], grid[:, 1])  # every first satellite is also a third
+    config = build_configuration([], params)
+    assert [family for _, family in config.labels] == [0, 1, 2] * grid.shape[0]
+    assert config.labels == _build_matches_oracle([], params)[1]
+
+
+def test_builds_and_equivalences_make_no_word_strings(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("word strings were made")
+
+    monkeypatch.setattr(fuchsian, "_row_strings", refuse)
+    monkeypatch.setattr(encode, "_row_strings", refuse)
+    encode._reference.cache_clear()  # so the reference is built under the patch
+    params = make_params(GAMMA3, window=5)
+    set_a = [W("e"), W("ab")]
+    set_b = [W("b") * w for w in set_a]
+    config_a, config_b = (build_configuration(s, params) for s in (set_a, set_b))
+    assert geometric_equivalence(config_a, config_b, params, 2).witness_word == W("b")
+    assert word_search_equivalence(set_a, set_b, params, 2).witness_word == W("b")
+    with pytest.raises(AssertionError, match="word strings"):
+        config_a.labels

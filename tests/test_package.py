@@ -92,7 +92,7 @@ _MEMBERSHIP = r"inside|< 1|<= 1"
 
 def _configuration(z):
     params = encode.make_params(window=2)
-    return encode.Configuration(points=[0.1, z], labels=(("e", 0), ("e", 1)), params=params)
+    return encode.Configuration(points=[0.1, z], params=params)
 
 
 _ENTRY_POINTS = {

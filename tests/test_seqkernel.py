@@ -456,6 +456,22 @@ def test_one_point_refuses_as_a_batch_of_that_point(case):
     assert (alone.type, str(alone.value)) == (batch.type, str(batch.value))
 
 
+def test_a_returned_tail_bound_is_below_tol_where_square_and_power_round_apart():
+    # `np.square` and `np.power` round |u| ** 2 apart at this u, and tol is the
+    # `np.power` bound at two terms, the one an evaluation would return
+    kernel, u, tol = CoefficientSequence.ones(3), 0.003902485387119336, 1.52890575202355e-05
+    terms, ratio_bound = kernel._float_kernel
+    for evaluate in (
+        lambda: kernel_eval(kernel, u, tol).tail_bound,
+        lambda: _eval_series(terms, ratio_bound, np.array([u, 0.5 * u], dtype=complex), tol)[1],
+    ):
+        try:
+            bounds = evaluate()
+        except UncertifiedEvaluationError:
+            continue
+        assert np.all(np.asarray(bounds) < tol)
+
+
 # ---------------------------------------------------------------------------
 # ratio sequences and the log-convex construction
 # ---------------------------------------------------------------------------
